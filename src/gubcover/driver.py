@@ -3,12 +3,15 @@
 Order of operations: randomized greedy runs fill the two reference pools,
 one subgradient run prices the columns, then until the deadline: fix
 agreed columns, carve out a scored core, run the weighted local search on
-it, refresh the pools and relink a new starting point.  The incumbent is
-always re-evaluated on the original instance.
+the core compacted into a sub-instance (residual demands and caps, the
+core columns only), map its solutions back to full width with the fixed
+columns added, refresh the pools and relink a new starting point.  The
+incumbent is always re-evaluated on the original instance.
 """
 
 from __future__ import annotations
 
+import math
 import subprocess
 import time
 from dataclasses import asdict, dataclass, field
@@ -53,10 +56,16 @@ class SolverConfig:
             raise ValueError(f"unknown neighborhood {self.neighborhood!r}")
         if self.greedy not in ("randomized", "uniform"):
             raise ValueError(f"unknown greedy mode {self.greedy!r}")
-        if self.time_limit <= 0:
+        if math.isnan(self.time_limit) or self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
-        if self.ref_capacity < 1 or self.greedy_width < 1 or self.window < 1:
-            raise ValueError("ref_capacity, greedy_width and window must be >= 1")
+        if math.isinf(self.time_limit) and self.max_iterations is None:
+            raise ValueError("an infinite time_limit needs max_iterations")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
+        if not (math.isfinite(self.weight_delta) and self.weight_delta >= 0):
+            raise ValueError("weight_delta must be finite and >= 0")
+        if min(self.ref_capacity, self.greedy_width, self.window, self.core_multiplier) < 1:
+            raise ValueError("ref_capacity, greedy_width, window and core_multiplier must be >= 1")
         if not (0 < self.weight_fraction <= 1) or not (0 <= self.fix_fraction <= 1):
             raise ValueError("weight_fraction/fix_fraction out of range")
         return self
@@ -108,14 +117,8 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
     deadline = t0 + cfg.time_limit
     rng = np.random.default_rng(cfg.seed)
     wbar_vec = model.initial_weights(inst)
-    wbar = float(wbar_vec[0]) if inst.m else 1.0
     cost_sum = int(inst.cost.sum())
     uniform = cfg.greedy == "uniform"
-
-    def zbar_of(x):
-        s = model.coverage_counts(inst, x)
-        short = int(np.maximum(inst.demand - s, 0).sum())
-        return float(inst.cost[np.asarray(x, bool)].sum() + wbar * short)
 
     r1 = ReferenceSet(cfg.ref_capacity)
     r2 = ReferenceSet(cfg.ref_capacity)
@@ -128,7 +131,7 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
     x_hat = None
     star_val = np.inf
     for member in r1.members + r2.members:
-        v = zbar_of(member)
+        v = model.penalized_objective(inst, member, wbar_vec)
         if v < star_val:
             star_val = v
             x_hat = member
@@ -170,30 +173,27 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
             if cfg.score == "lagrangian":
                 scores = reduction.lagrangian_scores(inst, fres.scores_u)
             elif cfg.score == "normalized":
-                scores = reduction.normalized_scores(inst, fres.scores_u,
-                                                     cap=red.cap, free=red.nonfixed)
+                scores = reduction.normalized_scores(red, fres.scores_u)
             else:
                 scores = reduction.pseudo_scores(inst, fres.scores_u)
-            xh_free = x_hat & red.nonfixed
-            core = reduction.build_core(inst, scores, x_star & red.nonfixed, xh_free,
-                                        demand=red.demand, free=red.nonfixed,
+            core = reduction.build_core(red, scores, x_star, x_hat,
                                         multiplier=cfg.core_multiplier)
             core_fractions.append(core.sum() / inst.n if inst.n else 0.0)
-            fixed_mask = ~red.nonfixed
-            state = SearchState(inst, wbar_vec, x0=xh_free,
-                                demand=red.demand, cap=red.cap, free=core)
+            sub, cols = red.restrict(core)
+            fixed_mask = ~red.free
         else:
-            fixed_mask = np.zeros(inst.n, dtype=bool)
-            state = SearchState(inst, wbar_vec, x0=x_hat)
+            sub, cols, fixed_mask = inst, np.arange(inst.n), np.zeros(inst.n, dtype=bool)
 
-        wres = wls(state, window=cfg.window, delta=cfg.weight_delta,
+        wres = wls(SearchState(sub, wbar_vec, x0=x_hat[cols]),
+                   window=cfg.window, delta=cfg.weight_delta,
                    fraction=cfg.weight_fraction,
                    one_flip_only=(cfg.neighborhood == "1flip"),
                    deadline=deadline)
         w_cur = wres.w
-        x_hat = wres.x_hat | fixed_mask
-        x_best = wres.x_best | fixed_mask
-        v = zbar_of(x_best)
+        # back to full width: sub column j is column cols[j], fixed ones stay in
+        x_hat, x_best = fixed_mask.copy(), fixed_mask.copy()
+        x_hat[cols], x_best[cols] = wres.x_hat, wres.x_best
+        v = model.penalized_objective(inst, x_best, wbar_vec)
         if v < star_val:
             star_val = v
             x_star = x_best.copy()
@@ -204,7 +204,8 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
                 return model.penalized_objective(inst, x, w_cur)
 
             r1.update(x_hat, weval(x_hat), [weval(mm) for mm in r1.members])
-            r2.update(x_best, zbar_of(x_best), [zbar_of(mm) for mm in r2.members])
+            r2.update(x_best, v, [model.penalized_objective(inst, mm, wbar_vec)
+                                  for mm in r2.members])
             init, guide, fallback = draw_pair(r1, r2, model.solution_key(x_hat),
                                               weval, rng)
             if fallback is not None:
@@ -215,7 +216,7 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
 
     elapsed = time.monotonic() - t0
     feasible = model.is_feasible(inst, x_star)
-    penalized = zbar_of(x_star)
+    penalized = star_val
     return RunResult(
         selected=[int(j) for j in np.flatnonzero(x_star)],
         objective=int(inst.cost[x_star].sum()),

@@ -31,28 +31,23 @@ import numpy as np
 class SearchState:
     """One working solution plus everything needed to evaluate flips fast.
 
-    demand / cap / free override the instance data for reduced problems:
-    columns outside `free` are frozen at zero and never proposed.  The
-    weight vector is owned by the state (copied in) because the weighting
-    scheme rescales it in place between search rounds.
+    Every column of inst is a candidate.  A reduced problem is searched as
+    the compacted sub-instance from ReducedProblem.restrict, which carries
+    the residual demands and caps and the full instance's wbar.  The weight
+    vector is owned by the state (copied in) because the weighting scheme
+    rescales it in place between search rounds.
     """
 
-    def __init__(self, inst, weights, x0=None, demand=None, cap=None, free=None):
+    def __init__(self, inst, weights, x0=None):
         self.inst = inst
-        self.b = np.array(inst.demand if demand is None else demand, dtype=np.int64)
-        self.d = np.array(inst.cap if cap is None else cap, dtype=np.int64)
-        if free is None:
-            self.free = np.ones(inst.n, dtype=bool)
-        else:
-            self.free = np.array(free, dtype=bool)
+        self.b = inst.demand
+        self.d = inst.cap
         self.w = np.array(weights, dtype=float)
-        self.wbar = float(inst.cost.sum() + 1)
+        self.wbar = inst.wbar
         self.costf = inst.cost.astype(float)
         self.x = np.zeros(inst.n, dtype=bool)
         if x0 is not None:
             self.x |= np.asarray(x0, dtype=bool)
-        if np.any(self.x & ~self.free):
-            raise ValueError("initial solution selects frozen columns")
         self._rebuild()
         if np.any(self.blk > self.d):
             raise ValueError("initial solution violates a block cap")
@@ -129,7 +124,7 @@ class SearchState:
     def _flip_up(self, j):
         inst = self.inst
         h = inst.block_of[j]
-        assert not self.x[j] and self.free[j] and self.blk[h] < self.d[h]
+        assert not self.x[j] and self.blk[h] < self.d[h]
         self.zhat += self.costf[j] - self.dp_up[j]
         self.x[j] = True
         self.cost += int(inst.cost[j])
@@ -241,7 +236,7 @@ def _observe(tracker, state):
 
 def _add_candidates(state: SearchState):
     open_blocks = state.blk < state.d
-    return ~state.x & state.free & open_blocks[state.inst.block_of]
+    return ~state.x & open_blocks[state.inst.block_of]
 
 
 def gain_tol(state) -> float:
@@ -290,7 +285,7 @@ def _block_argmin_pair(state, h):
     """Best drop and best add inside block h, or None when one side is empty."""
     members = state.inst.block_cols[h]
     selected = members[state.x[members]]
-    addable = members[~state.x[members] & state.free[members]]
+    addable = members[~state.x[members]]
     if selected.size == 0 or addable.size == 0:
         return None
     j1 = selected[int(np.argmin(-state.costf[selected] + state.dp_down[selected]))]
@@ -337,7 +332,7 @@ def _best_swap_for(state, j1, d1, opened):
     if not opened:
         return None
     cols = np.unique(np.concatenate([state.inst.row_cols[i] for i in opened]))
-    cols = cols[~state.x[cols] & state.free[cols]]
+    cols = cols[~state.x[cols]]
     if cols.size == 0:
         return None
     hb = state.inst.block_of[cols]
@@ -363,7 +358,7 @@ def _scan_candidates(state):
     sel = np.flatnonzero(state.x)
     if sel.size == 0:
         return sel
-    gains = np.where(~state.x & state.free, state.costf - state.dp_up, np.inf)
+    gains = np.where(~state.x, state.costf - state.dp_up, np.inf)
     open_blocks = state.blk < state.d
     open_gain = gains[open_blocks[inst.block_of]].min(initial=np.inf)
     block_gain = np.full(inst.k, np.inf)
@@ -470,8 +465,7 @@ def lowest_k(values, k):
     return np.concatenate([strict, tied[: k - strict.size]])
 
 
-def greedy_construct(inst, weights, rng, width=5, uniform=False,
-                     demand=None, cap=None, free=None):
+def greedy_construct(inst, weights, rng, width=5, uniform=False):
     """Randomized greedy start: noisy add phase, then a clean drop phase.
 
     Adds improving columns one at a time, picking uniformly among the
@@ -479,7 +473,7 @@ def greedy_construct(inst, weights, rng, width=5, uniform=False,
     then removes redundant columns the usual way so no selected column has
     a negative drop gain.  Returns the SearchState.
     """
-    state = SearchState(inst, weights, demand=demand, cap=cap, free=free)
+    state = SearchState(inst, weights)
     while True:
         deltas = np.where(_add_candidates(state), state.costf - state.dp_up, np.inf)
         cand = np.flatnonzero(deltas < 0)

@@ -45,9 +45,12 @@ class Instance:
     cap : int64[k]
     block_cols : list of int32 arrays, member columns of each block (sorted)
     block_of : int64[n], block index of each column
+    wbar : float, penalty weight sum(cost) + 1, above the cost of every column
+        together; a sub-instance of a reduced problem keeps its parent's.
     """
 
-    def __init__(self, cost, demand, col_rows, row_cols, cap, block_cols, block_of):
+    def __init__(self, cost, demand, col_rows, row_cols, cap, block_cols, block_of,
+                 wbar=None):
         self.cost = _frozen(np.asarray(cost, dtype=np.int64))
         self.demand = _frozen(np.asarray(demand, dtype=np.int64))
         self.col_rows = [_frozen(np.asarray(r, dtype=np.int32)) for r in col_rows]
@@ -59,6 +62,7 @@ class Instance:
         self.m = len(self.demand)
         self.k = len(self.cap)
         self.nnz = int(sum(len(r) for r in self.col_rows))
+        self.wbar = float(self.cost.sum() + 1) if wbar is None else float(wbar)
         self._matrix = None
 
     @classmethod
@@ -67,7 +71,8 @@ class Instance:
 
         blocks is a sequence of (cap, member_columns) pairs.  Row-wise
         adjacency and the column->block map are derived here; indices are
-        sorted and deduplicated.
+        sorted and deduplicated.  Raises ValueError when a column belongs to
+        no block.
         """
         cost = np.asarray(cost, dtype=np.int64)
         demand = np.asarray(demand, dtype=np.int64)
@@ -84,6 +89,9 @@ class Instance:
         block_of = np.full(n, -1, dtype=np.int64)
         for h, members in enumerate(block_cols):
             block_of[members] = h
+        if np.any(block_of < 0):
+            bad = int(np.flatnonzero(block_of < 0)[0])
+            raise ValueError(f"column {bad} belongs to no block")
         return cls(cost, demand, cols, row_cols, cap, block_cols, block_of)
 
     def matrix(self) -> sp.csr_matrix:
@@ -139,33 +147,28 @@ def as_bool(n: int, selected) -> np.ndarray:
     return x
 
 
-def support(x) -> np.ndarray:
-    """Indices of selected columns, ascending."""
-    return np.flatnonzero(np.asarray(x))
-
-
 def solution_key(x) -> bytes:
     """Hashable identity of a solution, used by the reference sets."""
     return np.packbits(np.asarray(x, dtype=bool)).tobytes()
 
 
 def initial_weights(inst: Instance) -> np.ndarray:
-    """Uniform starting penalty weights, sum(cost) + 1 per row.
+    """Uniform starting penalty weights, inst.wbar per row.
 
     Any violated row is then more expensive than buying every column, so a
     penalized value above sum(cost) certifies that no feasible solution was
     found.
     """
-    return np.full(inst.m, float(inst.cost.sum() + 1))
+    return np.full(inst.m, inst.wbar)
 
 
 def coverage_counts(inst: Instance, x) -> np.ndarray:
     """Per-row counts of selected covering columns."""
-    x = np.asarray(x, dtype=bool)
-    s = np.zeros(inst.m, dtype=np.int64)
-    for j in np.flatnonzero(x):
-        s[inst.col_rows[j]] += 1
-    return s
+    sel = np.flatnonzero(x)
+    if sel.size == 0:
+        return np.zeros(inst.m, dtype=np.int64)
+    rows = np.concatenate([inst.col_rows[j] for j in sel])
+    return np.bincount(rows, minlength=inst.m).astype(np.int64)
 
 
 def objective(inst: Instance, x) -> int:
@@ -173,29 +176,22 @@ def objective(inst: Instance, x) -> int:
     return int(inst.cost[x].sum())
 
 
-def penalized_objective(inst: Instance, x, w, demand=None) -> float:
-    """cost(x) plus weighted shortfall over the rows.
-
-    demand overrides inst.demand when evaluating a reduced instance.
-    """
-    b = inst.demand if demand is None else demand
-    s = coverage_counts(inst, x)
-    shortfall = np.maximum(b - s, 0)
+def penalized_objective(inst: Instance, x, w) -> float:
+    """cost(x) plus weighted shortfall over the rows."""
+    shortfall = np.maximum(inst.demand - coverage_counts(inst, x), 0)
     return float(objective(inst, x) + np.dot(np.asarray(w, dtype=float), shortfall))
 
 
-def gub_feasible(inst: Instance, x, cap=None) -> bool:
+def gub_feasible(inst: Instance, x) -> bool:
     """True when every block stays within its cap."""
     x = np.asarray(x, dtype=bool)
-    d = inst.cap if cap is None else cap
-    counts = np.bincount(inst.block_of[x], minlength=inst.k) if x.any() else np.zeros(inst.k, dtype=np.int64)
-    return bool(np.all(counts <= d))
+    counts = np.bincount(inst.block_of[x], minlength=inst.k)
+    return bool(np.all(counts <= inst.cap))
 
 
-def is_feasible(inst: Instance, x, demand=None, cap=None) -> bool:
+def is_feasible(inst: Instance, x) -> bool:
     """True when both the covering demands and the block caps hold."""
-    b = inst.demand if demand is None else demand
-    return bool(np.all(coverage_counts(inst, x) >= b)) and gub_feasible(inst, x, cap)
+    return bool(np.all(coverage_counts(inst, x) >= inst.demand)) and gub_feasible(inst, x)
 
 
 def validate(inst: Instance) -> list[Violation]:

@@ -75,7 +75,7 @@ def draw_pair(r1, r2, exclude_key, evaluate, rng, tries=10):
     return None, None, (a if va <= vb else b)
 
 
-def walk(inst, w, init, guide, demand=None, cap=None) -> np.ndarray:
+def walk(inst, w, init, guide) -> np.ndarray:
     """March from init toward guide and return the first local best.
 
     Each step flips one coordinate where the current point still differs
@@ -85,7 +85,7 @@ def walk(inst, w, init, guide, demand=None, cap=None) -> np.ndarray:
     point no candidate strictly improves on, or when every remaining
     coordinate is blocked, or at the guide itself.
     """
-    state = SearchState(inst, w, x0=init, demand=demand, cap=cap)
+    state = SearchState(inst, w, x0=init)
     guide = np.asarray(guide, dtype=bool)
     while True:
         diff = np.flatnonzero(state.x != guide)

@@ -3,9 +3,11 @@
 Both lean on column scores derived from a dual-ish vector: the multipliers
 from the subgradient phase, or the penalty weights when running without
 one.  Fixing locks in columns that both guiding solutions agree on until a
-fifth of the rows are covered by the fixed set alone; the core then keeps
-only the attractively scored columns around the guiding solutions and the
-search runs on that subset.
+fifth of the rows are covered by the fixed set alone, which leaves a
+ReducedProblem: the residual demands and caps over the non-fixed columns.
+The core then keeps only the attractively scored free columns around the
+guiding solutions, and ReducedProblem.restrict compacts it into a plain
+sub-Instance for the search to run on.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .localsearch import lowest_k
+from .model import Instance, coverage_counts
 from .relaxation import reduced_costs
 
 
@@ -67,25 +70,42 @@ def fix_columns(inst, x_star, x_hat, u, rng, fraction=0.2):
 
 @dataclass
 class ReducedProblem:
+    inst: Instance        # the full instance the columns were fixed in
     demand: np.ndarray    # residual demands after the fixed coverage
     cap: np.ndarray       # residual block caps
-    nonfixed: np.ndarray  # bool mask of still-free columns
-    fixed_cost: int
+    free: np.ndarray      # bool mask of the non-fixed columns
+
+    def restrict(self, core):
+        """(sub, cols): the core columns (inside `free`) as a plain Instance.
+
+        Sub column j is original column cols[j], in ascending order so index
+        ties break alike.  All m rows keep their residual demands and all k
+        blocks their residual caps (blocks may be empty), so row vectors such
+        as the weights carry over; wbar stays the full instance's.
+        """
+        inst = self.inst
+        cols = np.flatnonzero(core)
+        pos = np.empty(inst.n, dtype=np.int64)
+        pos[cols] = np.arange(cols.size)
+
+        def kept(members):
+            return pos[members[core[members]]]
+
+        sub = Instance(inst.cost[cols], self.demand, [inst.col_rows[j] for j in cols],
+                       [kept(c) for c in inst.row_cols], self.cap,
+                       [kept(c) for c in inst.block_cols], inst.block_of[cols],
+                       wbar=inst.wbar)
+        return sub, cols
 
 
 def apply_fixing(inst, fixed) -> ReducedProblem:
     """Fold the fixed columns into demands and caps; inst itself is untouched."""
     fixed = np.asarray(fixed, dtype=np.int64)
-    nonfixed = np.ones(inst.n, dtype=bool)
-    cover = np.zeros(inst.m, dtype=np.int64)
-    if fixed.size:
-        nonfixed[fixed] = False
-        rows = np.concatenate([inst.col_rows[j] for j in fixed])
-        cover = np.bincount(rows, minlength=inst.m).astype(np.int64)
-    demand = np.maximum(inst.demand - cover, 0)
+    free = np.ones(inst.n, dtype=bool)
+    free[fixed] = False
+    demand = np.maximum(inst.demand - coverage_counts(inst, ~free), 0)
     cap = inst.cap - np.bincount(inst.block_of[fixed], minlength=inst.k)
-    return ReducedProblem(demand=demand, cap=cap, nonfixed=nonfixed,
-                          fixed_cost=int(inst.cost[fixed].sum()))
+    return ReducedProblem(inst, demand, cap, free)
 
 
 def lagrangian_scores(inst, u):
@@ -93,22 +113,21 @@ def lagrangian_scores(inst, u):
     return reduced_costs(inst, u)
 
 
-def normalized_scores(inst, u, cap=None, free=None):
+def normalized_scores(red: ReducedProblem, u):
     """Reduced costs shifted per block by the first over-cap member.
 
-    Within each block the cap cheapest columns are the ones the relaxation
-    could actually take; subtracting the (cap+1)-st lowest reduced cost
-    (when negative) stops crowded blocks from flooding the core.  Blocks
-    whose cap covers every member keep their raw values.
+    Within each block the residual-cap cheapest free columns are the ones
+    the relaxation could actually take; subtracting the next lowest reduced
+    cost (when negative) stops crowded blocks from flooding the core.
+    Blocks whose cap covers every free member keep their raw values.
     """
+    inst = red.inst
     rc = reduced_costs(inst, u)
-    d = inst.cap if cap is None else cap
     theta = np.zeros(inst.k)
     for h in range(inst.k):
         members = inst.block_cols[h]
-        if free is not None:
-            members = members[free[members]]
-        dh = int(d[h])
+        members = members[red.free[members]]
+        dh = int(red.cap[h])
         if 0 <= dh < members.size:
             theta[h] = np.partition(rc[members], dh)[dh]
     rho = rc.copy()
@@ -123,30 +142,30 @@ def pseudo_scores(inst, w):
     return reduced_costs(inst, w)
 
 
-def build_core(inst, scores, x_star, x_hat, demand=None, free=None, multiplier=10):
+def build_core(red: ReducedProblem, scores, x_star, x_hat, multiplier=10):
     """Column mask the reduced search is allowed to touch.
 
-    Union of: per row, its demand's worth of best-scored covering columns;
-    the multiplier * n' best-scored columns overall (n' = size of x_hat);
-    and both guiding solutions.  Everything stays inside `free`.
+    Union of, all restricted to the free columns: per row, its residual
+    demand's worth of best-scored covering columns; the multiplier * n'
+    best-scored columns overall (n' = free columns of x_hat); and both
+    guiding solutions.
     """
-    b = inst.demand if demand is None else demand
-    x_star = np.asarray(x_star, dtype=bool)
-    x_hat = np.asarray(x_hat, dtype=bool)
+    inst, free = red.inst, red.free
+    x_star = np.asarray(x_star, dtype=bool) & free
+    x_hat = np.asarray(x_hat, dtype=bool) & free
     core = np.zeros(inst.n, dtype=bool)
     for i in range(inst.m):
-        bi = int(b[i])
+        bi = int(red.demand[i])
         if bi <= 0:
             continue
         cols = inst.row_cols[i]
-        if free is not None:
-            cols = cols[free[cols]]
+        cols = cols[free[cols]]
         if cols.size <= bi:
             core[cols] = True
         else:
             order = np.lexsort((cols, scores[cols]))
             core[cols[order[:bi]]] = True
-    pool = np.arange(inst.n) if free is None else np.flatnonzero(free)
+    pool = np.flatnonzero(free)
     width = multiplier * int(x_hat.sum())
     if width >= pool.size:
         core[pool] = True
@@ -154,6 +173,4 @@ def build_core(inst, scores, x_star, x_hat, demand=None, free=None, multiplier=1
         core[pool[lowest_k(scores[pool], width)]] = True
     core |= x_star
     core |= x_hat
-    if free is not None:
-        core &= free
     return core

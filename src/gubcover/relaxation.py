@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import coverage_counts
+
 
 @dataclass
 class SubgradientParams:
@@ -40,39 +42,26 @@ def reduced_costs(inst, u) -> np.ndarray:
     return inst.cost.astype(float) - u @ inst.matrix()
 
 
-def solve_lr(inst, u, rc=None, allowed=None, cap=None):
+def solve_lr(inst, u, rc=None):
     """Closed-form minimizer of the relaxed objective.
 
     Per block: when at most cap columns have negative reduced cost, take
     exactly those; otherwise take the cap cheapest (ties to the lowest
-    column index).  `allowed` restricts the choice to a column subset,
-    `cap` overrides the block caps.  Returns (x, value).
+    column index).  A column priced out with rc = inf is never taken: it is
+    not negative, and a block only reaches the cap-cheapest rule when more
+    than cap of its members are.  Returns (x, value).
     """
     if rc is None:
         rc = reduced_costs(inst, u)
-    d = inst.cap if cap is None else np.asarray(cap, dtype=np.int64)
     neg = rc < 0
-    if allowed is not None:
-        neg = neg & allowed
-    counts = np.bincount(inst.block_of[neg], minlength=inst.k)
-    easy = counts <= d
+    easy = np.bincount(inst.block_of[neg], minlength=inst.k) <= inst.cap
     x = neg & easy[inst.block_of]
     for h in np.flatnonzero(~easy):
         members = inst.block_cols[h]
-        if allowed is not None:
-            members = members[allowed[members]]
         order = np.lexsort((members, rc[members]))
-        x[members[order[: d[h]]]] = True
+        x[members[order[: inst.cap[h]]]] = True
     value = float(rc[x].sum() + np.dot(inst.demand, np.asarray(u, dtype=float)))
     return x, value
-
-
-def coverage_of(inst, x) -> np.ndarray:
-    sel = np.flatnonzero(x)
-    if sel.size == 0:
-        return np.zeros(inst.m, dtype=np.int64)
-    rows = np.concatenate([inst.col_rows[j] for j in sel])
-    return np.bincount(rows, minlength=inst.m).astype(np.int64)
 
 
 def _build_core(inst, rc, factor):
@@ -125,7 +114,6 @@ def subgradient_method(inst, ub, params: SubgradientParams | None = None) -> Sub
     lam = p.step_init
     stall = 0
     evals = 0
-    allowed = None
     core_idx = None
     core_mat = None
     it = 0
@@ -139,8 +127,7 @@ def subgradient_method(inst, ub, params: SubgradientParams | None = None) -> Sub
                 best_lb = value
                 best_u = u.copy()
             if pricing:
-                allowed = _build_core(inst, rc, p.core_factor)
-                core_idx = np.flatnonzero(allowed)
+                core_idx = np.flatnonzero(_build_core(inst, rc, p.core_factor))
                 core_mat = inst.matrix()[:, core_idx]
             if value >= ub:
                 it += 1
@@ -148,7 +135,7 @@ def subgradient_method(inst, ub, params: SubgradientParams | None = None) -> Sub
         else:
             rc = np.full(inst.n, np.inf)
             rc[core_idx] = inst.cost[core_idx] - u @ core_mat
-            x, value = solve_lr(inst, u, rc=rc, allowed=allowed)
+            x, value = solve_lr(inst, u, rc=rc)
         if value > best_seen:
             best_seen = value
             stall = 0
@@ -157,7 +144,7 @@ def subgradient_method(inst, ub, params: SubgradientParams | None = None) -> Sub
             if stall >= p.halve_after:
                 lam *= 0.5
                 stall = 0
-        g = inst.demand - coverage_of(inst, x)
+        g = inst.demand - coverage_counts(inst, x)
         gnorm2 = float(np.dot(g, g))
         it += 1
         if gnorm2 == 0.0:

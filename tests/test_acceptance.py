@@ -18,11 +18,12 @@ import time
 import numpy as np
 import pytest
 
-from gubcover import cli, localsearch, oracle, relaxation
+from gubcover import cli, localsearch, relaxation
 from gubcover import io as gio
 from gubcover.driver import SolverConfig, solve
 from gubcover.model import Instance
 
+import oracle
 from conftest import (
     all_pair_deltas,
     build_t1,
@@ -271,18 +272,36 @@ def test_criterion_07_benchmark_reproduction():
 def test_criterion_08_scp_mode():
     """Plain set-cover files: average near 166.4, bound near the LP value."""
     budget = float(os.environ.get("GUBCOVER_SLOW_BUDGET", "600"))
-    paths = sorted(glob.glob(os.path.join(os.environ["GUBCOVER_SCPLIB"], "scpg*")))
-    assert paths, "no scpg* files found"
-    values, bounds = [], []
-    for path in paths:
-        inst = gio.read_orlib(path)
-        res = solve(inst, SolverConfig(score="pseudo", time_limit=budget, seed=0))
-        assert res.feasible
-        values.append(res.objective)
-        bounds.append(res.lower_bound)
+    values, bounds = _scp_runs(os.environ["GUBCOVER_SCPLIB"], budget)
     avg, bound = float(np.mean(values)), float(np.mean(bounds))
     ok = abs(avg - 166.4) / 166.4 <= 0.03 and bound >= 0.95 * 149.48
     _report(8, "set-cover mode", ok, f"avg {avg:.2f}, bound {bound:.2f}")
+
+
+def _scp_runs(directory, budget, max_iterations=None):
+    """Solve every scpg* file in directory; returns (objectives, bounds)."""
+    paths = sorted(glob.glob(os.path.join(directory, "scpg*")))
+    assert paths, "no scpg* files found"
+    values, bounds = [], []
+    for path in paths:
+        inst = gio.read_orlib_scp(path)
+        res = solve(inst, SolverConfig(score="pseudo", time_limit=budget, seed=0,
+                                       max_iterations=max_iterations))
+        assert res.feasible
+        values.append(res.objective)
+        bounds.append(res.lower_bound)
+    return values, bounds
+
+
+def test_criterion_08_code_path_offline(tmp_path):
+    """The criterion 08 reader and solve calls on a tiny OR-Library file."""
+    # 3 rows, 4 columns; rows list their covering columns, 1-based.
+    # Optimum {1, 4} (1-based) at cost 4 + 1 = 5.
+    (tmp_path / "scpg_tiny.txt").write_text(
+        "3 4\n4 3 5 1\n2 1 3\n2 1 2\n3 2 3 4\n")
+    values, bounds = _scp_runs(str(tmp_path), budget=10.0, max_iterations=2)
+    assert values == [5]
+    assert bounds[0] <= 5 + 1e-9
 
 
 def test_criterion_09_core_size():

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from gubcover import driver, model, oracle
+from gubcover import driver, model
+from gubcover import io as gio
 from gubcover.driver import SolverConfig
 from gubcover.model import Instance, as_bool
 
+import oracle
 from conftest import random_instance
 
 
@@ -161,3 +163,81 @@ def test_config_validation():
         SolverConfig(time_limit=0).check()
     with pytest.raises(ValueError):
         SolverConfig(neighborhood="3flip").check()
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"time_limit": nan}, {"time_limit": nan, "max_iterations": 3},
+                {"time_limit": inf}, {"core_multiplier": 0},
+                {"max_iterations": -1}, {"weight_delta": -1.0},
+                {"weight_delta": nan}, {"weight_delta": inf}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad).check()
+    # an iteration cap bounds the run on its own
+    SolverConfig(time_limit=inf, max_iterations=2).check()
+
+
+# Values frozen from the full-width search, before the core was compacted
+# into a sub-instance; any drift in fixing, core, search or relinking order
+# shows up here.
+PINNED = {
+    ("pseudo", 0): dict(
+        objective=681, lower_bound=631.7308621162692, penalized=681.0,
+        timeline=[(0, 1214.0), (1, 957.0), (2, 694.0), (3, 681.0)],
+        core_fractions=[0.6066666666666667, 0.5733333333333334,
+                        0.7333333333333333, 0.6],
+        selected=[0, 3, 6, 12, 14, 19, 24, 25, 29, 35, 38, 39, 44, 47, 51, 53,
+                  61, 62, 64, 70, 76, 78, 80, 88, 95, 98, 99, 103, 105, 115, 117, 123,
+                  140]),
+    ("pseudo", 1): dict(
+        objective=701, lower_bound=631.7296748005786, penalized=701.0,
+        timeline=[(0, 1189.0), (1, 883.0), (2, 715.0), (3, 701.0)],
+        core_fractions=[0.5333333333333333, 0.35,
+                        0.5, 0.6],
+        selected=[3, 6, 8, 10, 15, 19, 20, 24, 25, 31, 36, 39, 40, 47, 53, 56,
+                  59, 62, 64, 70, 80, 88, 95, 98, 99, 105, 107, 117, 120, 123, 140, 235]),
+    ("normalized", 0): dict(
+        objective=692, lower_bound=631.7308621162692, penalized=692.0,
+        timeline=[(0, 1214.0), (1, 876.0), (2, 721.0), (3, 692.0)],
+        core_fractions=[0.5766666666666667, 0.6333333333333333,
+                        0.51, 0.4766666666666667],
+        selected=[0, 5, 6, 10, 15, 19, 20, 24, 25, 31, 34, 35, 41, 44, 53, 55,
+                  57, 61, 62, 64, 70, 80, 88, 95, 98, 99, 107, 117, 120, 123, 135, 140,
+                  143]),
+    ("normalized", 1): dict(
+        objective=687, lower_bound=631.7296748005786, penalized=687.0,
+        timeline=[(0, 1189.0), (1, 763.0), (2, 687.0)],
+        core_fractions=[0.5766666666666667, 0.38,
+                        0.7333333333333333, 0.4666666666666667],
+        selected=[0, 3, 6, 10, 11, 19, 20, 23, 24, 30, 31, 32, 41, 46, 52, 58,
+                  59, 61, 62, 68, 70, 76, 78, 80, 88, 89, 98, 99, 115, 123, 135, 140,
+                  205]),
+    ("lagrangian", 0): dict(
+        objective=692, lower_bound=631.7308621162692, penalized=692.0,
+        timeline=[(0, 1214.0), (1, 876.0), (2, 721.0), (3, 692.0)],
+        core_fractions=[0.5766666666666667, 0.6333333333333333,
+                        0.51, 0.4766666666666667],
+        selected=[0, 5, 6, 10, 15, 19, 20, 24, 25, 31, 34, 35, 41, 44, 53, 55,
+                  57, 61, 62, 64, 70, 80, 88, 95, 98, 99, 107, 117, 120, 123, 135, 140,
+                  143]),
+    ("lagrangian", 1): dict(
+        objective=687, lower_bound=631.7296748005786, penalized=687.0,
+        timeline=[(0, 1189.0), (1, 763.0), (2, 687.0)],
+        core_fractions=[0.5766666666666667, 0.38666666666666666,
+                        0.7333333333333333, 0.4666666666666667],
+        selected=[0, 3, 6, 10, 11, 19, 20, 23, 24, 30, 31, 32, 41, 46, 52, 58,
+                  59, 61, 62, 68, 70, 76, 78, 80, 88, 89, 98, 99, 115, 123, 135, 140,
+                  205]),
+}
+
+
+@pytest.mark.parametrize("score,seed", sorted(PINNED))
+def test_pinned_runs(score, seed):
+    inst, _ = gio.generate(gio.GeneratorParams(rows=60, cols=300, density=0.1,
+                                               block_size=10, cap=3, seed=5))
+    res = driver.solve(inst, SolverConfig(score=score, seed=seed, max_iterations=4,
+                                          time_limit=1e6, window=10))
+    want = PINNED[(score, seed)]
+    assert res.objective == want["objective"]
+    assert res.lower_bound == want["lower_bound"]
+    assert res.penalized == want["penalized"]
+    assert res.selected == want["selected"]
+    assert [(it, val) for it, val, _ in res.timeline] == want["timeline"]
+    assert res.core_fractions == want["core_fractions"]

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from gubcover import localsearch as ls
-from gubcover import model, oracle
+from gubcover import model
 from gubcover.model import as_bool
 
+import oracle
 from conftest import (nb1_state, random_gub_feasible, random_instance,
                       random_weights)
 

@@ -8,9 +8,10 @@ values plus cross-checks between the two independent arithmetic paths
 import numpy as np
 import pytest
 
-from gubcover import model, oracle
+from gubcover import model
 from gubcover.model import Instance, as_bool
 
+import oracle
 from conftest import random_gub_feasible, random_instance, random_weights
 
 

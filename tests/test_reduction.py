@@ -6,7 +6,7 @@ import pytest
 from gubcover import model, reduction
 from gubcover.model import as_bool
 
-from conftest import random_gub_feasible, random_instance
+from conftest import random_gub_feasible, random_instance, random_weights
 
 
 def test_fix_columns_t1_frozen(t1):
@@ -73,8 +73,7 @@ def test_apply_fixing_frozen(t1):
     red = reduction.apply_fixing(t1, np.array([1]))
     assert list(red.demand) == [1, 0, 1]
     assert list(red.cap) == [0, 2]
-    assert list(red.nonfixed) == [True, False, True, True]
-    assert red.fixed_cost == 3
+    assert list(red.free) == [True, False, True, True]
 
 
 def test_apply_fixing_leaves_instance_alone(t1):
@@ -88,8 +87,7 @@ def test_apply_fixing_empty_is_identity(t1):
     red = reduction.apply_fixing(t1, np.array([], dtype=np.int64))
     assert np.array_equal(red.demand, t1.demand)
     assert np.array_equal(red.cap, t1.cap)
-    assert red.nonfixed.all()
-    assert red.fixed_cost == 0
+    assert red.free.all()
 
 
 def test_lagrangian_scores(t1):
@@ -99,12 +97,13 @@ def test_lagrangian_scores(t1):
 
 def test_normalized_scores_frozen(t1):
     # block {0,1} caps at 1 of 2: theta is the 2nd lowest reduced cost
-    scores = reduction.normalized_scores(t1, np.array([3.0, 3.0, 3.0]))
+    scores = reduction.normalized_scores(reduction.apply_fixing(t1, []),
+                                         np.array([3.0, 3.0, 3.0]))
     assert list(scores) == [0.0, -1.0, -1.0, -2.0]
 
 
 def test_normalized_scores_positive_theta_is_identity(t1):
-    scores = reduction.normalized_scores(t1, np.zeros(3))
+    scores = reduction.normalized_scores(reduction.apply_fixing(t1, []), np.zeros(3))
     assert list(scores) == [4, 3, 5, 1]
 
 
@@ -113,7 +112,7 @@ def test_normalized_never_below_lagrangian():
     for _ in range(20):
         inst = random_instance(rng)
         u = rng.uniform(0, 10, size=inst.m)
-        rho = reduction.normalized_scores(inst, u)
+        rho = reduction.normalized_scores(reduction.apply_fixing(inst, []), u)
         ctil = reduction.lagrangian_scores(inst, u)
         assert np.all(rho >= ctil - 1e-9)
         # the shift is constant per block, so block argmins agree
@@ -131,7 +130,7 @@ def test_normalized_equals_lagrangian_on_singleton_blocks():
         [(1, [j]) for j in range(5)])
     for _ in range(10):
         u = rng.uniform(0, 10, size=3)
-        assert np.array_equal(reduction.normalized_scores(inst, u),
+        assert np.array_equal(reduction.normalized_scores(reduction.apply_fixing(inst, []), u),
                               reduction.lagrangian_scores(inst, u))
 
 
@@ -146,7 +145,7 @@ def test_pseudo_scores(t1):
 
 def test_build_core_t1_keeps_everything(t1):
     x = as_bool(4, [1, 2])
-    core = reduction.build_core(t1, t1.cost.astype(float), x, x)
+    core = reduction.build_core(reduction.apply_fixing(t1, []), t1.cost.astype(float), x, x)
     assert core.all()
 
 
@@ -154,7 +153,8 @@ def test_build_core_empty_solutions_is_row_cover_only(t1):
     # with nothing selected the 10 n' term vanishes; per row the b_i
     # cheapest covering columns remain: {0}, {1}, {3, 1}
     empty = np.zeros(4, dtype=bool)
-    core = reduction.build_core(t1, t1.cost.astype(float), empty, empty)
+    core = reduction.build_core(reduction.apply_fixing(t1, []), t1.cost.astype(float),
+                                empty, empty)
     assert list(core) == [True, True, False, True]
 
 
@@ -165,11 +165,51 @@ def test_build_core_invariants():
         a = random_gub_feasible(rng, inst)
         b = random_gub_feasible(rng, inst)
         scores = rng.uniform(-5, 5, size=inst.n)
-        core = reduction.build_core(inst, scores, a, b, multiplier=1)
+        red = reduction.apply_fixing(inst, [])
+        core = reduction.build_core(red, scores, a, b, multiplier=1)
         assert np.all(core[a]) and np.all(core[b])
         for i in range(inst.m):
             covering = inst.row_cols[i]
             need = min(inst.demand[i], len(covering))
             assert core[covering].sum() >= need
-        bigger = reduction.build_core(inst, scores, a, b, multiplier=4)
+        bigger = reduction.build_core(red, scores, a, b, multiplier=4)
         assert np.all(bigger[core])
+
+
+def test_restrict_t1(t1):
+    red = reduction.apply_fixing(t1, [1])
+    sub, cols = red.restrict(np.array([True, False, False, True]))
+    assert list(cols) == [0, 3]
+    assert list(sub.cost) == [4, 1]
+    assert list(sub.demand) == [1, 0, 1]
+    assert list(sub.cap) == [0, 2]
+    assert [list(r) for r in sub.col_rows] == [[0, 1], [2]]
+    assert [list(c) for c in sub.row_cols] == [[0], [0], [1]]
+    assert [list(b) for b in sub.block_cols] == [[0], [1]]
+    assert sub.wbar == t1.wbar == 14
+
+
+def test_restrict_preserves_values_and_caps():
+    """On the sub-instance, y scores as y plus the fixed columns on the full one."""
+    rng = np.random.default_rng(55)
+    for _ in range(30):
+        inst = random_instance(rng)
+        x = random_gub_feasible(rng, inst)
+        fixed = np.flatnonzero(x & (rng.random(inst.n) < 0.5))
+        red = reduction.apply_fixing(inst, fixed)
+        core = red.free & (rng.random(inst.n) < rng.uniform(0.2, 1.0))
+        sub, cols = red.restrict(core)
+        assert np.array_equal(cols, np.flatnonzero(core))
+        assert sub.wbar == inst.wbar
+        # residual caps may be 0 and blocks may empty out; nothing else breaks
+        codes = {v.code for v in model.validate(sub)}
+        assert codes <= {"cap_not_positive", "cap_exceeds_block_size"}
+        w = random_weights(rng, inst)
+        fixed_cost = int(inst.cost[fixed].sum())
+        for _ in range(10):
+            y = rng.random(cols.size) < rng.uniform(0.0, 0.6)
+            full = as_bool(inst.n, fixed)
+            full[cols[y]] = True
+            assert (model.penalized_objective(sub, y, w) + fixed_cost
+                    == model.penalized_objective(inst, full, w))
+            assert model.gub_feasible(sub, y) == model.gub_feasible(inst, full)

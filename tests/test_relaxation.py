@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from gubcover import model, oracle
+from gubcover import model
 from gubcover import relaxation as rx
 from gubcover.relaxation import SubgradientParams
 
+import oracle
 from conftest import random_instance
 
 
@@ -60,10 +61,10 @@ def test_weak_duality():
 
 
 def test_subgradient_vector_t1(t1):
-    cov = rx.coverage_of(t1, model.as_bool(4, [1, 3]))
+    cov = model.coverage_counts(t1, model.as_bool(4, [1, 3]))
     assert list(t1.demand - cov) == [1, 0, 0]
-    assert list(t1.demand - rx.coverage_of(t1, np.zeros(4, dtype=bool))) == [1, 1, 2]
-    cov = rx.coverage_of(t1, model.as_bool(4, [0, 2, 3]))
+    assert list(t1.demand - model.coverage_counts(t1, np.zeros(4, dtype=bool))) == [1, 1, 2]
+    cov = model.coverage_counts(t1, model.as_bool(4, [0, 2, 3]))
     assert list(t1.demand - cov) == [-1, 0, 0]
 
 
