@@ -11,6 +11,7 @@ incumbent is always re-evaluated on the original instance.
 
 from __future__ import annotations
 
+import functools
 import math
 import subprocess
 import time
@@ -68,6 +69,17 @@ class SolverConfig:
             raise ValueError("ref_capacity, greedy_width, window and core_multiplier must be >= 1")
         if not (0 < self.weight_fraction <= 1) or not (0 <= self.fix_fraction <= 1):
             raise ValueError("weight_fraction/fix_fraction out of range")
+        sg = self.subgradient
+        if sg.pricing not in ("auto", "on", "off"):
+            raise ValueError(f"unknown subgradient pricing {sg.pricing!r}")
+        if not (math.isfinite(sg.step_init) and sg.step_init > 0):
+            raise ValueError("subgradient step_init must be finite and > 0")
+        if not (math.isfinite(sg.step_min) and sg.step_min >= 0):
+            raise ValueError("subgradient step_min must be finite and >= 0")
+        if min(sg.halve_after, sg.refresh, sg.core_factor) < 1:
+            raise ValueError("subgradient halve_after, refresh and core_factor must be >= 1")
+        if sg.max_iters is not None and sg.max_iters < 0:
+            raise ValueError("subgradient max_iters must be >= 0")
         return self
 
 
@@ -92,8 +104,12 @@ class RunResult:
     build: str
 
 
+@functools.cache
 def build_id() -> str:
-    """Package version, with the git revision when running from a checkout."""
+    """Package version, with the git revision when running from a checkout.
+
+    Computed once per process: the git call costs milliseconds per solve.
+    """
     try:
         version = metadata.version("gubcover")
     except metadata.PackageNotFoundError:

@@ -456,7 +456,13 @@ def find_improving_two_flip(state: SearchState):
 
 
 def lowest_k(values, k):
-    """Indices of the k smallest values, ties to the lowest index."""
+    """Indices of the k smallest values, ties to the lowest index.
+
+    The order is part of the contract, because the randomized greedy draws
+    by position in it: first every index whose value is strictly below the
+    k-th smallest, ascending, then the ascending indices tied with it, cut
+    at k.  With k >= values.size it is simply arange(values.size).
+    """
     if k >= values.size:
         return np.arange(values.size)
     kth = np.partition(values, k - 1)[k - 1]
@@ -465,25 +471,69 @@ def lowest_k(values, k):
     return np.concatenate([strict, tied[: k - strict.size]])
 
 
+# Negative-gain columns the greedy shortlist keeps (more when ties straddle
+# the cut).  Large enough that a list survives many adds, small enough
+# that re-scoring it on every add costs next to nothing.
+SHORTLIST = 256
+
+
+def _shortlist(state, size):
+    """Add candidates of the greedy that can still matter, and their bound.
+
+    Returns (cols, tau): cols, ascending, are the candidates with add gain
+    below tau, where tau is the smallest negative gain above the size-th
+    smallest, so that all columns tied at the cut are in.  When no such
+    gain exists, tau is 0 and cols holds every negative candidate.
+    """
+    gains = np.where(_add_candidates(state), state.costf - state.dp_up, np.inf)
+    cols = np.flatnonzero(gains < 0)
+    tau = 0.0
+    if cols.size > size:
+        g = gains[cols]
+        kth = np.partition(g, size - 1)[size - 1]
+        tau = float(g[g > kth].min(initial=0.0))
+        cols = cols[g < tau]
+    return cols, tau
+
+
 def greedy_construct(inst, weights, rng, width=5, uniform=False):
     """Randomized greedy start: noisy add phase, then a clean drop phase.
 
-    Adds improving columns one at a time, picking uniformly among the
-    `width` best candidates (or among all candidates when uniform=True),
-    then removes redundant columns the usual way so no selected column has
-    a negative drop gain.  Returns the SearchState.
+    Adds improving (negative-gain) columns one at a time, picking uniformly
+    among the `width` best candidates (or among all of them when
+    uniform=True), then removes redundant columns the usual way so no
+    selected column has a negative drop gain.  Returns the SearchState.
+
+    The adds do not rescan all columns.  During the build the weights are
+    fixed and nonnegative and columns are only added, so _flip_up only
+    lowers dp_up: every add gain can only rise and the candidate set only
+    shrinks.  A column left out of the shortlist (see _shortlist) was at
+    or above tau and stays there, so each add re-scores just the list and
+    keeps the members still addable and below tau.  While more than
+    `width` are left, the `width` best of all columns are among them in
+    the same lowest_k order, so the pick and its rng draw equal a full
+    scan's.  With `width` or fewer left the list is rebuilt from a full
+    scan; at exactly `width`, lowest_k would return them in index order,
+    which need not be the full scan's order.  A list with tau = 0 holds
+    every negative candidate and needs no rebuild; uniform=True always
+    builds it that way.
     """
     state = SearchState(inst, weights)
+    # a fresh list with tau < 0 has at least `size` > `width` members, so a
+    # rebuild is never followed by another before the next add
+    size = inst.n if uniform else max(SHORTLIST, width + 1)
+    cols, tau = _shortlist(state, size)
     while True:
-        deltas = np.where(_add_candidates(state), state.costf - state.dp_up, np.inf)
-        cand = np.flatnonzero(deltas < 0)
-        if cand.size == 0:
+        gains = state.costf[cols] - state.dp_up[cols]
+        h = inst.block_of[cols]
+        live = (gains < tau) & ~state.x[cols] & (state.blk[h] < state.d[h])
+        cols, gains = cols[live], gains[live]
+        if tau < 0 and cols.size <= width:
+            cols, tau = _shortlist(state, size)
+            continue
+        if cols.size == 0:
             break
-        if uniform:
-            j = int(cand[rng.integers(cand.size)])
-        else:
-            pool = cand[lowest_k(deltas[cand], width)]
-            j = int(pool[rng.integers(pool.size)])
-        state._flip_up(j)
+        pool = cols if uniform else cols[lowest_k(gains, width)]
+        state._flip_up(int(pool[rng.integers(pool.size)]))
     _step_drop(state, None, [1 << 60])
     return state

@@ -7,6 +7,7 @@ from gubcover import driver, model
 from gubcover import io as gio
 from gubcover.driver import SolverConfig
 from gubcover.model import Instance, as_bool
+from gubcover.relaxation import SubgradientParams
 
 import oracle
 from conftest import random_instance
@@ -170,6 +171,14 @@ def test_config_validation():
                 {"weight_delta": nan}, {"weight_delta": inf}):
         with pytest.raises(ValueError):
             SolverConfig(**bad).check()
+    for bad in ({"refresh": 0, "pricing": "on"}, {"refresh": -1},
+                {"core_factor": 0}, {"halve_after": 0}, {"step_init": 0.0},
+                {"step_init": -1.0}, {"step_init": nan}, {"step_init": inf},
+                {"step_min": -0.1}, {"step_min": nan}, {"step_min": inf},
+                {"pricing": "sometimes"}, {"max_iters": -1}):
+        with pytest.raises(ValueError):
+            SolverConfig(subgradient=SubgradientParams(**bad)).check()
+    SolverConfig(subgradient=SubgradientParams(step_min=0.0, max_iters=0)).check()
     # an iteration cap bounds the run on its own
     SolverConfig(time_limit=inf, max_iterations=2).check()
 

@@ -263,8 +263,50 @@ def test_greedy_single_column_instance():
     assert state.x[0]
 
 
+def full_scan_greedy(inst, w, rng, width, uniform):
+    """Reference greedy: rescans every column on every add."""
+    state = ls.SearchState(inst, w)
+    while True:
+        deltas = np.where(ls._add_candidates(state), state.costf - state.dp_up, np.inf)
+        cand = np.flatnonzero(deltas < 0)
+        if cand.size == 0:
+            break
+        pool = cand if uniform else cand[ls.lowest_k(deltas[cand], width)]
+        state._flip_up(int(pool[rng.integers(pool.size)]))
+    ls._step_drop(state, None, [1 << 60])
+    return state
+
+
+@pytest.mark.parametrize("shortlist", [2, 4, 8, ls.SHORTLIST])
+def test_greedy_shortlist_matches_full_scan(monkeypatch, shortlist):
+    # a small list forces rebuilds and the |live| == width boundary
+    monkeypatch.setattr(ls, "SHORTLIST", shortlist)
+    rng = np.random.default_rng(40 + shortlist)
+    for _ in range(80):
+        inst = random_instance(rng, n=int(rng.integers(12, 41)),
+                               cost_hi=int(rng.integers(2, 21)))
+        if rng.integers(2):
+            w = model.initial_weights(inst)
+        else:
+            w = random_weights(rng, inst, integer=bool(rng.integers(2)))
+        width = int(rng.integers(1, 9))
+        uniform = rng.random() < 0.2
+        seed = int(rng.integers(1 << 31))
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = ls.greedy_construct(inst, w, got_rng, width=width, uniform=uniform)
+        ref = full_scan_greedy(inst, w, ref_rng, width, uniform)
+        assert np.array_equal(got.x, ref.x)
+        assert got_rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+
 def test_lowest_k():
     vals = np.array([5.0, 1.0, 3.0, 1.0, 2.0])
-    assert set(ls.lowest_k(vals, 2)) == {1, 3}
-    assert set(ls.lowest_k(vals, 3)) == {1, 3, 4}
+    assert list(ls.lowest_k(vals, 2)) == [1, 3]
+    assert list(ls.lowest_k(vals, 3)) == [1, 3, 4]
+    assert list(ls.lowest_k(vals, 5)) == [0, 1, 2, 3, 4]
     assert list(ls.lowest_k(vals, 10)) == [0, 1, 2, 3, 4]
+    # strict members first, then ties at the k-th value, each by index
+    vals = np.array([2.0, 2.0, 0.0, 2.0, 1.0, 2.0])
+    assert list(ls.lowest_k(vals, 3)) == [2, 4, 0]
+    assert list(ls.lowest_k(vals, 4)) == [2, 4, 0, 1]
+    assert list(ls.lowest_k(np.array([3.0, 1.0, 1.0]), 1)) == [1]
