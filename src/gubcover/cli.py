@@ -78,10 +78,11 @@ def _solve_config(args, seed=None) -> SolverConfig:
 
 def cmd_solve(args) -> int:
     try:
+        cfg = _solve_config(args).check()
         inst = _load(args.instance, args.format)
     except (OSError, ValueError) as err:
         return _fail(str(err))
-    result = solve(inst, _solve_config(args))
+    result = solve(inst, cfg)
     print(f"instance: {args.instance} (m={inst.m}, n={inst.n}, k={inst.k})")
     print(f"objective: {result.objective}")
     if result.lower_bound is not None:
@@ -175,23 +176,21 @@ def _class_of(path) -> str:
 
 
 def _bench_one(task):
-    """One (path, fmt, scheme, seed, limit) run; module-level for pickling."""
-    path, fmt, scheme, seed, limit = task
-    inst = gio.read_instance(path, fmt)
-    cfg = SolverConfig(score=scheme, time_limit=limit, seed=seed)
-    result = solve(inst, cfg)
+    """One (path, fmt, config) run; module-level for pickling."""
+    path, fmt, cfg = task
+    result = solve(_load(path, fmt), cfg)
     return {
         "kind": "run",
         "class": _class_of(path),
         "instance": Path(path).name,
-        "scheme": scheme,
-        "seed": seed,
+        "scheme": cfg.score,
+        "seed": cfg.seed,
         "objective": result.objective,
         "feasible": int(result.feasible),
         "penalized": result.penalized,
         "lower_bound": "" if result.lower_bound is None else f"{result.lower_bound:.4f}",
         "elapsed": f"{result.elapsed:.3f}",
-        "time_limit": limit,
+        "time_limit": cfg.time_limit,
     }
 
 
@@ -223,7 +222,12 @@ def cmd_bench(args) -> int:
             limit = CLASS_TIME_LIMITS.get(_class_of(path), 600)
         for scheme in schemes:
             for seed in range(args.seeds):
-                tasks.append((path, args.format, scheme, seed, float(limit)))
+                cfg = SolverConfig(score=scheme, time_limit=float(limit), seed=seed)
+                try:
+                    cfg.check()
+                except ValueError as err:
+                    return _fail(str(err))
+                tasks.append((path, args.format, cfg))
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_bench_one, tasks))

@@ -305,6 +305,8 @@ def _step_swap_saturated(state, tracker, budget):
     while budget[0] > 0:
         updated = False
         for h in np.flatnonzero(state.blk == state.d):
+            if budget[0] <= 0:
+                break
             pair = _block_argmin_pair(state, h)
             if pair is None:
                 continue
@@ -429,30 +431,6 @@ def two_fnls(state: SearchState, one_flip_only=False, tracker=None, move_cap=Non
         if not _step_swap_scan(state, tracker, budget):
             break
     return state
-
-
-def find_improving_two_flip(state: SearchState):
-    """Locate one improving two-column move without changing the state.
-
-    Meant for states with no improving single flip; under that premise the
-    saturated-block argmin pairs and the trial-drop scan together cover
-    every improving pair move.  Returns (delta, j1, j2) or None.
-    """
-    for h in np.flatnonzero(state.blk == state.d):
-        pair = _block_argmin_pair(state, h)
-        if pair is None:
-            continue
-        delta = state.two_flip_delta(*pair)
-        if delta < 0:
-            return float(delta), pair[0], pair[1]
-    for j1 in _scan_candidates(state):
-        d1 = state.delta_down(j1)
-        opened, undo = state.trial_flip_down(j1)
-        best = _best_swap_for(state, j1, d1, opened)
-        state.undo_trial(undo)
-        if best is not None and best[0] < 0:
-            return best[0], int(j1), best[1]
-    return None
 
 
 def lowest_k(values, k):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .localsearch import lowest_k
 from .model import Instance, coverage_counts
-from .relaxation import reduced_costs
+from .relaxation import rank_within, reduced_costs
 
 
 @dataclass
@@ -117,19 +117,19 @@ def normalized_scores(red: ReducedProblem, u):
     """Reduced costs shifted per block by the first over-cap member.
 
     Within each block the residual-cap cheapest free columns are the ones
-    the relaxation could actually take; subtracting the next lowest reduced
-    cost (when negative) stops crowded blocks from flooding the core.
-    Blocks whose cap covers every free member keep their raw values.
+    the relaxation could actually take; subtracting theta, the reduced
+    cost of the free member ranked exactly at the residual cap
+    (rank_within), when negative, stops crowded blocks from flooding the
+    core.  Blocks whose cap covers every free member have no such member
+    and keep their raw values.
     """
     inst = red.inst
     rc = reduced_costs(inst, u)
+    free = np.flatnonzero(red.free)
+    h = inst.block_of[free]
+    first_out = rank_within(h, rc[free]) == red.cap[h]
     theta = np.zeros(inst.k)
-    for h in range(inst.k):
-        members = inst.block_cols[h]
-        members = members[red.free[members]]
-        dh = int(red.cap[h])
-        if 0 <= dh < members.size:
-            theta[h] = np.partition(rc[members], dh)[dh]
+    theta[h[first_out]] = rc[free[first_out]]
     rho = rc.copy()
     shift = theta[inst.block_of]
     neg = shift < 0

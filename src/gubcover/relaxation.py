@@ -42,30 +42,46 @@ def reduced_costs(inst, u) -> np.ndarray:
     return inst.cost.astype(float) - u @ inst.matrix()
 
 
+def rank_within(groups, keys):
+    """Rank of each entry inside its group, by ascending key.
+
+    Ties keep input order (lexsort is stable), so callers that pass
+    ascending column indices break them toward the lowest index.
+    """
+    order = np.lexsort((keys, groups))
+    sorted_groups = groups[order]
+    starts = np.flatnonzero(np.diff(sorted_groups, prepend=-1))
+    sizes = np.diff(starts, append=order.size)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size) - np.repeat(starts, sizes)
+    return rank
+
+
 def solve_lr(inst, u, rc=None):
     """Closed-form minimizer of the relaxed objective.
 
-    Per block: when at most cap columns have negative reduced cost, take
-    exactly those; otherwise take the cap cheapest (ties to the lowest
-    column index).  A column priced out with rc = inf is never taken: it is
-    not negative, and a block only reaches the cap-cheapest rule when more
-    than cap of its members are.  Returns (x, value).
+    Per block, take the columns with negative reduced cost whose rank among
+    the block's negative columns (rank_within, ties to the lowest column
+    index) is below the cap.  Only blocks with more than cap negatives are
+    ranked at all.  A column priced out with rc = inf is never taken.
+    Returns (x, value).
     """
     if rc is None:
         rc = reduced_costs(inst, u)
-    neg = rc < 0
-    easy = np.bincount(inst.block_of[neg], minlength=inst.k) <= inst.cap
-    x = neg & easy[inst.block_of]
-    for h in np.flatnonzero(~easy):
-        members = inst.block_cols[h]
-        order = np.lexsort((members, rc[members]))
-        x[members[order[: inst.cap[h]]]] = True
+    x = rc < 0
+    neg = np.flatnonzero(x)
+    over = np.bincount(inst.block_of[neg], minlength=inst.k) > inst.cap
+    if over.any():
+        hard = neg[over[inst.block_of[neg]]]
+        h = inst.block_of[hard]
+        x[hard] = rank_within(h, rc[hard]) < inst.cap[h]
     value = float(rc[x].sum() + np.dot(inst.demand, np.asarray(u, dtype=float)))
     return x, value
 
 
 def _build_core(inst, rc, factor):
-    """Column mask keeping the globally cheapest and per-block cheapest."""
+    """Column mask keeping the factor * m globally cheapest columns and
+    each block's cap cheapest (rank_within, ties to the lowest index)."""
     n = inst.n
     size = min(n, factor * inst.m)
     allowed = np.zeros(n, dtype=bool)
@@ -73,13 +89,7 @@ def _build_core(inst, rc, factor):
         allowed[:] = True
         return allowed
     allowed[np.argpartition(rc, size - 1)[:size]] = True
-    # per-block: cap cheapest members, computed by rank within block
-    order = np.lexsort((np.arange(n), rc, inst.block_of))
-    sorted_blocks = inst.block_of[order]
-    starts = np.flatnonzero(np.diff(sorted_blocks, prepend=-1))
-    sizes = np.diff(starts, append=n)
-    rank = np.arange(n) - np.repeat(starts, sizes)
-    allowed[order[rank < inst.cap[sorted_blocks]]] = True
+    allowed |= rank_within(inst.block_of, rc) < inst.cap[inst.block_of]
     return allowed
 
 

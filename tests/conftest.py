@@ -89,6 +89,26 @@ def nb1_state(rng, inst, w=None):
     return state
 
 
+def solver_pair_move(state):
+    """One improving pair move as the solver's own pair phases find it.
+
+    Runs the saturated-block swap and then the swap scan with a budget of
+    one move on a fresh copy of state, which is left untouched.  Returns
+    (delta, j1, j2), the zhat change of dropping j1 and adding j2, or None
+    when neither phase moves.
+    """
+    st = localsearch.SearchState(state.inst, state.w, x0=state.x)
+    budget = [1]
+    localsearch._step_swap_saturated(st, None, budget)
+    localsearch._step_swap_scan(st, None, budget)
+    if budget[0] == 1:
+        return None
+    changed = np.flatnonzero(st.x != state.x)
+    j1, j2 = changed[state.x[changed]], changed[~state.x[changed]]
+    assert j1.size == 1 and j2.size == 1
+    return st.zhat - state.zhat, int(j1[0]), int(j2[0])
+
+
 def dense_arrays(inst):
     """(m x n) 0/1 coverage matrix and (k x n) block membership matrix."""
     a = np.zeros((inst.m, inst.n), dtype=np.int64)

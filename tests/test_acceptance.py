@@ -32,6 +32,7 @@ from conftest import (
     random_gub_feasible,
     random_instance,
     random_weights,
+    solver_pair_move,
 )
 
 
@@ -95,10 +96,14 @@ def test_criterion_02_pruning_completeness():
         inst = random_instance(rng, m=int(rng.integers(3, 13)),
                                n=int(rng.integers(6, 25)))
         state = nb1_state(rng, inst, w=random_weights(rng, inst))
-        pruned = localsearch.find_improving_two_flip(state)
+        pruned = solver_pair_move(state)
         full = oracle.exhaustive_2flip_scan(inst, state.x, state.w)
         if (pruned is None) != (full is None):
             disagree += 1
+        elif pruned is not None:
+            delta, j1, j2 = pruned
+            assert delta == pytest.approx(
+                oracle.two_flip_delta(inst, state.x, state.w, j1, j2))
     _report(2, "pruning completeness", disagree == 0,
             f"1000 states, {disagree} disagreements")
 

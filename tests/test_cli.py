@@ -99,6 +99,12 @@ def test_solve_reports_no_feasible(tmp_path, capsys):
     assert "no feasible solution found" in out
 
 
+def test_solve_rejects_bad_config(t1_file, capsys):
+    rc = cli.main(["solve", "--instance", t1_file, "--time-limit", "-1"])
+    assert rc == 1
+    assert "error: time_limit must be positive" in capsys.readouterr().err
+
+
 # -- check ---------------------------------------------------------------
 
 
@@ -252,3 +258,26 @@ def test_bench_no_matching_instances(tmp_path, capsys):
                    "--out", str(tmp_path / "none.csv")])
     assert rc == 1
     assert "no instances matching" in capsys.readouterr().err
+
+
+def test_bench_rejects_unknown_scheme(t1_file, tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    rc = cli.main(["bench", "--instances", str(tmp_path), "--schemes", "pseudo,bogus",
+                   "--time-limit", "0.3", "--out", str(out)])
+    assert rc == 1
+    assert "error: unknown score scheme 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_validates_instances(tmp_path, capsys):
+    from gubcover.model import Instance
+
+    inst = Instance.from_columns(
+        cost=[1, 2], col_rows=[[0], [0]], demand=[1],
+        blocks=[(0, [0]), (1, [1])],
+    )
+    gio.write_gub(inst, tmp_path / "cap0.gub")
+    rc = cli.main(["bench", "--instances", str(tmp_path), "--time-limit", "0.3",
+                   "--out", str(tmp_path / "bench.csv")])
+    assert rc == 1
+    assert "block 0 has cap 0" in capsys.readouterr().err

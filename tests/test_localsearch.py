@@ -11,7 +11,7 @@ from gubcover.model import as_bool
 
 import oracle
 from conftest import (nb1_state, random_gub_feasible, random_instance,
-                      random_weights)
+                      random_weights, solver_pair_move)
 
 
 def wbar_state(inst, selected=()):
@@ -195,7 +195,7 @@ def test_find_improving_two_flip_agrees_with_exhaustive():
     for _ in range(60):
         inst = random_instance(rng)
         state = nb1_state(rng, inst, w=random_weights(rng, inst))
-        pruned = ls.find_improving_two_flip(state)
+        pruned = solver_pair_move(state)
         full = oracle.exhaustive_2flip_scan(inst, state.x, state.w)
         assert (pruned is None) == (full is None)
         if pruned is not None:
@@ -223,6 +223,18 @@ def test_move_cap_bounds_accepted_moves(t1):
     state = wbar_state(t1)
     ls.two_fnls(state, move_cap=1)
     assert state.x.sum() <= 1
+
+
+def test_saturated_swap_respects_budget():
+    rng = np.random.default_rng(40)
+    for _ in range(400):
+        inst = random_instance(rng)
+        state = nb1_state(rng, inst, w=random_weights(rng, inst))
+        x0 = state.x.copy()
+        budget = [1]
+        ls._step_swap_saturated(state, None, budget)
+        assert budget[0] >= 0
+        assert np.count_nonzero(state.x != x0) <= 2
 
 
 def test_best_tracker_keeps_minimum(t1):

@@ -121,6 +121,38 @@ def test_normalized_never_below_lagrangian():
             assert np.argmin(rho[members]) == np.argmin(ctil[members])
 
 
+def normalized_reference(red, u):
+    """Per-block loop: theta is the residual-cap-th smallest free reduced cost."""
+    inst = red.inst
+    rc = reduction.reduced_costs(inst, u)
+    theta = np.zeros(inst.k)
+    for h in range(inst.k):
+        members = inst.block_cols[h]
+        members = members[red.free[members]]
+        dh = int(red.cap[h])
+        if 0 <= dh < members.size:
+            theta[h] = np.partition(rc[members], dh)[dh]
+    shift = theta[inst.block_of]
+    return rc - np.where(shift < 0, shift, 0.0)
+
+
+def test_normalized_matches_block_loop():
+    rng = np.random.default_rng(54)
+    residual = set()
+    for _ in range(200):
+        inst = random_instance(rng)
+        # fixing a random cap-feasible set leaves residual caps from 0 up to
+        # at least the number of free members
+        red = reduction.apply_fixing(inst, np.flatnonzero(random_gub_feasible(rng, inst)))
+        u = rng.integers(0, 8, size=inst.m).astype(float)
+        assert np.array_equal(reduction.normalized_scores(red, u),
+                              normalized_reference(red, u))
+        free_count = np.bincount(inst.block_of[red.free], minlength=inst.k)
+        residual |= {"zero" if c == 0 else "all" if c >= f else "some"
+                     for c, f in zip(red.cap, free_count)}
+    assert residual == {"zero", "all", "some"}
+
+
 def test_normalized_equals_lagrangian_on_singleton_blocks():
     # the plain covering embedding: one block per column, cap 1
     rng = np.random.default_rng(53)

@@ -47,6 +47,66 @@ def test_solve_lr_respects_caps():
         assert model.gub_feasible(inst, x)
 
 
+def solve_lr_reference(inst, u, rc):
+    """Per-block loop: the cap cheapest of a block with too many negatives."""
+    neg = rc < 0
+    easy = np.bincount(inst.block_of[neg], minlength=inst.k) <= inst.cap
+    x = neg & easy[inst.block_of]
+    for h in np.flatnonzero(~easy):
+        members = inst.block_cols[h]
+        order = np.lexsort((members, rc[members]))
+        x[members[order[: inst.cap[h]]]] = True
+    return x, float(rc[x].sum() + np.dot(inst.demand, u))
+
+
+def build_core_reference(inst, rc, factor):
+    """Per-block loop: the factor * m globally cheapest plus each block's cap cheapest."""
+    size = min(inst.n, factor * inst.m)
+    if size >= inst.n:
+        return np.ones(inst.n, dtype=bool)
+    allowed = np.zeros(inst.n, dtype=bool)
+    allowed[np.argpartition(rc, size - 1)[:size]] = True
+    for h, members in enumerate(inst.block_cols):
+        order = np.lexsort((members, rc[members]))
+        allowed[members[order[: inst.cap[h]]]] = True
+    return allowed
+
+
+def scattered_blocks(rng, inst):
+    """The same columns regrouped into blocks that are not index ranges."""
+    perm = rng.permutation(inst.n)
+    blocks = [(int(inst.cap[h]), sorted(perm[inst.block_cols[h]]))
+              for h in range(inst.k)]
+    return model.Instance.from_columns(inst.cost, inst.col_rows, inst.demand, blocks)
+
+
+def test_rank_within():
+    groups = np.array([2, 0, 2, 0, 2, 1])
+    keys = np.array([5.0, 1.0, 5.0, 1.0, -1.0, 0.0])
+    assert list(rx.rank_within(groups, keys)) == [1, 0, 2, 1, 0, 0]
+    empty = rx.rank_within(np.zeros(0, dtype=np.int64), np.zeros(0))
+    assert empty.size == 0 and empty.dtype == np.int64
+
+
+def test_rank_rule_matches_block_loops():
+    rng = np.random.default_rng(26)
+    for case in range(200):
+        inst = random_instance(rng)
+        if case % 2:
+            inst = scattered_blocks(rng, inst)
+        # integer multipliers and costs make reduced-cost ties at the cap
+        u = rng.integers(0, 8, size=inst.m).astype(float)
+        rc = rx.reduced_costs(inst, u)
+        if case % 3 == 0:
+            rc[rng.random(inst.n) < 0.5] = np.inf  # priced out
+        x, z = rx.solve_lr(inst, u, rc=rc.copy())
+        x_ref, z_ref = solve_lr_reference(inst, u, rc)
+        assert np.array_equal(x, x_ref) and z == z_ref
+        factor = int(rng.integers(1, 3))
+        assert np.array_equal(rx._build_core(inst, rc, factor),
+                              build_core_reference(inst, rc, factor))
+
+
 def test_weak_duality():
     rng = np.random.default_rng(23)
     for _ in range(30):
