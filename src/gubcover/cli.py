@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import glob
 import os
 import sys
@@ -61,6 +62,16 @@ def _load(path, fmt):
     if problems:
         raise gio.FormatError("; ".join(str(p) for p in problems))
     return inst
+
+
+@functools.lru_cache(maxsize=1)
+def _load_once(path, fmt):
+    """_load for bench tasks: each process reads and validates a file once.
+
+    Tasks come grouped by path and an Instance is immutable, so one slot
+    serves every (scheme, seed) run of a file; cmd_bench clears it.
+    """
+    return _load(path, fmt)
 
 
 def _solve_config(args, seed=None) -> SolverConfig:
@@ -178,7 +189,7 @@ def _class_of(path) -> str:
 def _bench_one(task):
     """One (path, fmt, config) run; module-level for pickling."""
     path, fmt, cfg = task
-    result = solve(_load(path, fmt), cfg)
+    result = solve(_load_once(path, fmt), cfg)
     return {
         "kind": "run",
         "class": _class_of(path),
@@ -228,11 +239,14 @@ def cmd_bench(args) -> int:
                 except ValueError as err:
                     return _fail(str(err))
                 tasks.append((path, args.format, cfg))
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_bench_one, tasks))
-    else:
-        rows = [_bench_one(t) for t in tasks]
+    try:
+        if args.workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+                rows = list(pool.map(_bench_one, tasks))
+        else:
+            rows = [_bench_one(t) for t in tasks]
+    finally:
+        _load_once.cache_clear()
     rows.sort(key=lambda r: (r["instance"], r["scheme"], r["seed"]))
 
     best_known = _read_best_known(args.best_known) if args.best_known else {}

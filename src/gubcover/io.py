@@ -32,6 +32,9 @@ class FormatError(ValueError):
     """Malformed instance or solution file."""
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 class _Tokens:
     """Whitespace token stream that tracks line numbers for error messages."""
 
@@ -48,7 +51,8 @@ class _Tokens:
             raise FormatError(
                 f"line {self._line_no}: expected integer ({what}), got {tok!r}"
             ) from None
-        if (lo is not None and value < lo) or (hi is not None and value > hi):
+        if (value < _INT64.min or value > _INT64.max
+                or (lo is not None and value < lo) or (hi is not None and value > hi)):
             raise FormatError(f"line {self._line_no}: {what} {value} out of range")
         return value
 
@@ -83,73 +87,212 @@ def _open_text(path, mode="rt"):
     return open(path, mode.rstrip("t") or "r")
 
 
-def read_gub(path) -> Instance:
-    with _open_text(path) as fh:
-        t = _Tokens(fh)
-        m = t.next_int("row count", lo=1)
-        n = t.next_int("column count", lo=1)
-        k = t.next_int("block count", lo=1)
-        cost = [t.next_int(f"cost of column {j + 1}", lo=1) for j in range(n)]
-        demand = [t.next_int(f"demand of row {i + 1}", lo=0) for i in range(m)]
-        col_rows = [[] for _ in range(n)]
-        for i in range(m):
-            cnt = t.next_int(f"cover count of row {i + 1}", lo=0, hi=n)
-            for _ in range(cnt):
-                j = t.next_int(f"covering column of row {i + 1}", lo=1, hi=n)
-                col_rows[j - 1].append(i)
-        blocks = []
-        seen = np.zeros(n, dtype=np.int64)
-        for h in range(k):
-            cap = t.next_int(f"cap of block {h + 1}", lo=0)
-            size = t.next_int(f"size of block {h + 1}", lo=1, hi=n)
-            members = [
-                t.next_int(f"member of block {h + 1}", lo=1, hi=n) - 1
-                for _ in range(size)
-            ]
-            seen[members] += 1
-            blocks.append((cap, members))
-        t.expect_eof()
+# -- array readers ---------------------------------------------------------
+#
+# Each reader parses the whole file into one int64 array and slices the
+# instance out of it.  Any inconsistency (a token that is not an int64, a
+# count or index out of range, a short or overlong file, a column in no or
+# several blocks) makes the array parser give up and return None; the
+# reader then walks the file token by token only to raise the located
+# FormatError.  The two follow the same grammar, so a file one accepts the
+# other accepts too.
+
+_BATCH = 1 << 16  # tokens per numpy conversion
+
+
+def _int_tokens(path):
+    """All whitespace tokens of the file as int64, or None if one is not.
+
+    Lines are read in text mode and converted in batches of about _BATCH
+    tokens, so every token is parsed as int() parses it and the strings of
+    the whole file never exist at once.
+    """
+    parts, batch = [], []
+    try:
+        with _open_text(path) as fh:
+            for line in fh:
+                batch += line.split()
+                if len(batch) >= _BATCH:
+                    parts.append(np.array(batch, dtype=np.int64))
+                    batch = []
+        parts.append(np.array(batch, dtype=np.int64))
+    except (ValueError, OverflowError):
+        return None
+    return np.concatenate(parts)
+
+
+def _lists(tok, pos, count, head, lo, hi, top):
+    """Walk count lists starting at tok[pos]; None if they do not fit.
+
+    Each list is `head` header tokens, the last of them its length in
+    [lo, hi], then that many entries, each in [1, top].  Returns (starts,
+    owner, entries, end): the position of each list's first header token,
+    the list of each entry, the entries 0-based as int32, and the position
+    after the last list.  Only the headers are visited one by one.
+    """
+    total, first = tok.size, pos
+    if count > (total - pos) // head:
+        return None
+    starts, lengths = [], []
+    for _ in range(count):
+        length = tok.item(pos + head - 1) if pos + head <= total else -1
+        if length < lo or length > hi:
+            return None
+        starts.append(pos)
+        lengths.append(length)
+        pos += head + length
+    if pos > total:
+        return None
+    starts = np.asarray(starts, dtype=np.int64)
+    entry = np.ones(pos - first, dtype=bool)
+    for w in range(head):
+        entry[starts - first + w] = False
+    entries = tok[first:pos][entry]
+    if entries.size and (entries.min() < 1 or entries.max() > top):
+        return None
+    entries = entries.astype(np.int32)
+    entries -= 1
+    owner = np.repeat(np.arange(count, dtype=np.int32), lengths)
+    return starts, owner, entries, pos
+
+
+def _parse_gub(tok):
+    if tok.size < 3:
+        return None
+    m, n, k = tok[:3].tolist()
+    if m < 1 or n < 1 or k < 1 or tok.size < 3 + n + m:
+        return None
+    cost, demand = tok[3:3 + n], tok[3 + n:3 + n + m]
+    cover = _lists(tok, 3 + n + m, m, 1, 0, n, n)
+    if cover is None or cost.min() < 1 or demand.min() < 0:
+        return None
+    _, rows, cols, end = cover
+    blocks = _lists(tok, end, k, 2, 1, n, n)
+    if blocks is None or blocks[3] != tok.size:
+        return None
+    starts, block_ids, members, _ = blocks
+    cap = tok[starts]
+    if cap.min() < 0:
+        return None
+    # each column in exactly one block; a repeat inside one block is allowed
+    distinct = np.unique(block_ids.astype(np.int64) * n + members)
+    if np.any(np.bincount(distinct % n, minlength=n) != 1):
+        return None
+    return cost.copy(), demand.copy(), rows, cols, cap, block_ids, members
+
+
+def _singleton_blocks(n):
+    return np.ones(n, dtype=np.int64), np.arange(n), np.arange(n)
+
+
+def _parse_orlib(tok):
+    if tok.size < 2:
+        return None
+    m, n = tok[:2].tolist()
+    if m < 1 or n < 1 or tok.size < 2 + n:
+        return None
+    cost = tok[2:2 + n]
+    cover = _lists(tok, 2 + n, m, 1, 0, n, n)
+    if cover is None or cover[3] != tok.size or cost.min() < 1:
+        return None
+    _, rows, cols, _ = cover
+    return (cost.copy(), np.ones(m, dtype=np.int64), rows, cols,
+            *_singleton_blocks(n))
+
+
+def _parse_rail(tok):
+    if tok.size < 2:
+        return None
+    m, n = tok[:2].tolist()
+    if m < 1 or n < 1:
+        return None
+    columns = _lists(tok, 2, n, 2, 1, m, m)
+    if columns is None or columns[3] != tok.size:
+        return None
+    starts, cols, rows, _ = columns
+    cost = tok[starts]
+    if cost.min() < 1:
+        return None
+    return cost, np.ones(m, dtype=np.int64), rows, cols, *_singleton_blocks(n)
+
+
+def _read(path, parse, walk) -> Instance:
+    tok = _int_tokens(path)
+    parts = None if tok is None else parse(tok)
+    del tok  # the parts own their data; free the token array before building
+    if parts is None:
+        with _open_text(path) as fh:
+            walk(_Tokens(fh))
+        raise RuntimeError(f"{path}: array reader rejected a file the token walk accepts")
+    return Instance.from_entries(*parts)
+
+
+# -- token walks: the located error messages ---------------------------------
+
+
+def _walk_gub(t):
+    m = t.next_int("row count", lo=1)
+    n = t.next_int("column count", lo=1)
+    k = t.next_int("block count", lo=1)
+    for j in range(n):
+        t.next_int(f"cost of column {j + 1}", lo=1)
+    for i in range(m):
+        t.next_int(f"demand of row {i + 1}", lo=0)
+    for i in range(m):
+        cnt = t.next_int(f"cover count of row {i + 1}", lo=0, hi=n)
+        for _ in range(cnt):
+            t.next_int(f"covering column of row {i + 1}", lo=1, hi=n)
+    seen = np.zeros(n, dtype=np.int64)
+    for h in range(k):
+        t.next_int(f"cap of block {h + 1}", lo=0)
+        size = t.next_int(f"size of block {h + 1}", lo=1, hi=n)
+        members = [
+            t.next_int(f"member of block {h + 1}", lo=1, hi=n) - 1
+            for _ in range(size)
+        ]
+        seen[members] += 1
+    t.expect_eof()
     if np.any(seen != 1):
         j = int(np.flatnonzero(seen != 1)[0])
         raise FormatError(f"column {j + 1} appears in {seen[j]} blocks")
-    return Instance.from_columns(cost, col_rows, demand, blocks)
+
+
+def _walk_orlib(t):
+    m = t.next_int("row count", lo=1)
+    n = t.next_int("column count", lo=1)
+    for j in range(n):
+        t.next_int(f"cost of column {j + 1}", lo=1)
+    for i in range(m):
+        cnt = t.next_int(f"cover count of row {i + 1}", lo=0, hi=n)
+        for _ in range(cnt):
+            t.next_int(f"covering column of row {i + 1}", lo=1, hi=n)
+    t.expect_eof()
+
+
+def _walk_rail(t):
+    m = t.next_int("row count", lo=1)
+    n = t.next_int("column count", lo=1)
+    for j in range(n):
+        t.next_int(f"cost of column {j + 1}", lo=1)
+        cnt = t.next_int(f"row count of column {j + 1}", lo=1, hi=m)
+        for _ in range(cnt):
+            t.next_int(f"covered row of column {j + 1}", lo=1, hi=m)
+    t.expect_eof()
+
+
+def read_gub(path) -> Instance:
+    """Read a native .gub file (see the module docstring); FormatError if malformed."""
+    return _read(path, _parse_gub, _walk_gub)
 
 
 def read_orlib_scp(path) -> Instance:
-    with _open_text(path) as fh:
-        t = _Tokens(fh)
-        m = t.next_int("row count", lo=1)
-        n = t.next_int("column count", lo=1)
-        cost = [t.next_int(f"cost of column {j + 1}", lo=1) for j in range(n)]
-        col_rows = [[] for _ in range(n)]
-        for i in range(m):
-            cnt = t.next_int(f"cover count of row {i + 1}", lo=0, hi=n)
-            for _ in range(cnt):
-                j = t.next_int(f"covering column of row {i + 1}", lo=1, hi=n)
-                col_rows[j - 1].append(i)
-        t.expect_eof()
-    blocks = [(1, [j]) for j in range(n)]
-    return Instance.from_columns(cost, col_rows, np.ones(m, dtype=np.int64), blocks)
+    """Read an OR-Library set covering file; FormatError if malformed."""
+    return _read(path, _parse_orlib, _walk_orlib)
 
 
 def read_rail(path) -> Instance:
-    with _open_text(path) as fh:
-        t = _Tokens(fh)
-        m = t.next_int("row count", lo=1)
-        n = t.next_int("column count", lo=1)
-        col_rows = []
-        cost = []
-        for j in range(n):
-            cost.append(t.next_int(f"cost of column {j + 1}", lo=1))
-            cnt = t.next_int(f"row count of column {j + 1}", lo=1, hi=m)
-            rows = [
-                t.next_int(f"covered row of column {j + 1}", lo=1, hi=m) - 1
-                for _ in range(cnt)
-            ]
-            col_rows.append(rows)
-        t.expect_eof()
-    blocks = [(1, [j]) for j in range(n)]
-    return Instance.from_columns(cost, col_rows, np.ones(m, dtype=np.int64), blocks)
+    """Read a column-major RAIL file; FormatError if malformed."""
+    return _read(path, _parse_rail, _walk_rail)
 
 
 _READERS = {"gub": read_gub, "orlib": read_orlib_scp, "rail": read_rail}

@@ -9,6 +9,7 @@ pair.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,86 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
+class Csr:
+    """A sequence of index lists packed back to back, read-only.
+
+    List p is ind[ptr[p]:ptr[p + 1]]; ptr starts at 0 and never decreases.
+    """
+
+    __slots__ = ("ptr", "ind")
+
+    def __init__(self, ptr, ind):
+        self.ptr = _frozen(np.asarray(ptr, dtype=np.int64))
+        self.ind = _frozen(np.asarray(ind, dtype=np.int32))
+
+    @classmethod
+    def pack(cls, lists) -> Csr:
+        """Pack the given index lists as they are, in order."""
+        arrays = [np.asarray(a, dtype=np.int32) for a in lists]
+        ptr = np.zeros(len(arrays) + 1, dtype=np.int64)
+        np.cumsum([a.size for a in arrays], out=ptr[1:])
+        ind = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int32)
+        return cls(ptr, ind)
+
+    @classmethod
+    def group(cls, owner, member, count, size) -> Csr:
+        """count lists from (owner, member) pairs given in any order.
+
+        Each list comes out sorted, without repeats.  The pairs must lie in
+        range: 0 <= owner < count and 0 <= member < size.  Sorting the packed
+        key owner * size + member orders by owner, then member, and puts
+        repeated pairs next to each other.
+        """
+        key = np.array(owner, dtype=np.int64)
+        key *= size
+        key += member
+        key.sort()
+        if key.size > 1:
+            fresh = key[1:] != key[:-1]
+            if not fresh.all():
+                key = key[np.concatenate(([True], fresh))]
+        ptr = np.searchsorted(key, np.arange(count + 1, dtype=np.int64) * size)
+        if size:
+            np.remainder(key, size, out=key)
+        return cls(ptr, key.astype(np.int32))
+
+    @property
+    def count(self) -> int:
+        return len(self.ptr) - 1
+
+    def views(self) -> list:
+        """One read-only view into ind per list."""
+        ind = self.ind
+        bounds = self.ptr.tolist()
+        return [ind[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def owners(self) -> np.ndarray:
+        """int64[len(ind)]: the list each entry belongs to."""
+        return np.repeat(np.arange(self.count, dtype=np.int64), np.diff(self.ptr))
+
+    def list_of(self, pos) -> np.ndarray:
+        """The list holding each entry position in pos."""
+        return np.searchsorted(self.ptr, pos, side="right") - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, Csr):
+            return NotImplemented
+        return np.array_equal(self.ptr, other.ptr) and np.array_equal(self.ind, other.ind)
+
+
 class Instance:
     """Immutable problem instance.
 
-    Construction normally goes through :meth:`from_columns`, which derives
-    the row-wise adjacency and the block lookup from the column data.  The
-    raw constructor stores whatever it is given (so that validate() can be
-    exercised on broken data) and freezes the numpy buffers.
+    The adjacency lives in three frozen Csr buffers: col_csr (rows of each
+    column), row_csr (columns of each row) and block_csr (members of each
+    block).  col_rows, row_cols and block_cols are lists of read-only views
+    into them, one small array per column, row or block.
+
+    Construction normally goes through :meth:`from_entries`, or
+    :meth:`from_columns` on top of it, which sort and deduplicate every
+    list and derive the transpose and the block lookup.  The raw
+    constructor packs whatever lists (or Csr buffers) it is given, so that
+    validate() can be exercised on broken data.
 
     Attributes
     ----------
@@ -45,6 +119,8 @@ class Instance:
     cap : int64[k]
     block_cols : list of int32 arrays, member columns of each block (sorted)
     block_of : int64[n], block index of each column
+    col_csr, row_csr, block_csr : Csr, the buffers behind the three lists
+    nnz : int, number of (row, column) cover entries
     wbar : float, penalty weight sum(cost) + 1, above the cost of every column
         together; a sub-instance of a reduced problem keeps its parent's.
     """
@@ -53,60 +129,80 @@ class Instance:
                  wbar=None):
         self.cost = _frozen(np.asarray(cost, dtype=np.int64))
         self.demand = _frozen(np.asarray(demand, dtype=np.int64))
-        self.col_rows = [_frozen(np.asarray(r, dtype=np.int32)) for r in col_rows]
-        self.row_cols = [_frozen(np.asarray(c, dtype=np.int32)) for c in row_cols]
         self.cap = _frozen(np.asarray(cap, dtype=np.int64))
-        self.block_cols = [_frozen(np.asarray(c, dtype=np.int32)) for c in block_cols]
         self.block_of = _frozen(np.asarray(block_of, dtype=np.int64))
+        self.col_csr = _as_csr(col_rows)
+        self.row_csr = _as_csr(row_cols)
+        self.block_csr = _as_csr(block_cols)
+        self.col_rows = self.col_csr.views()
+        self.row_cols = self.row_csr.views()
+        self.block_cols = self.block_csr.views()
         self.n = len(self.cost)
         self.m = len(self.demand)
         self.k = len(self.cap)
-        self.nnz = int(sum(len(r) for r in self.col_rows))
+        self.nnz = int(self.col_csr.ind.size)
         self.wbar = float(self.cost.sum() + 1) if wbar is None else float(wbar)
         self._matrix = None
+
+    @classmethod
+    def from_entries(cls, cost, demand, rows, cols, cap, blocks, members, wbar=None):
+        """Build an instance from coordinate lists.
+
+        Column cols[e] covers row rows[e], and column members[e] belongs to
+        block blocks[e] (all 0-based).  Entries may come in any order and
+        may repeat: every list is sorted and repeats are dropped.  A column
+        listed in several blocks gets the last of them as block_of, which
+        validate() then reports.  Raises ValueError for an index out of
+        range or a column in no block.
+        """
+        cost = np.asarray(cost, dtype=np.int64)
+        demand = np.asarray(demand, dtype=np.int64)
+        cap = np.asarray(cap, dtype=np.int64)
+        n, m, k = len(cost), len(demand), len(cap)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        blocks, members = np.asarray(blocks), np.asarray(members)
+        if rows.shape != cols.shape or blocks.shape != members.shape:
+            raise ValueError("coordinate lists of different lengths")
+        for idx, size, what in ((rows, m, "row"), (cols, n, "column"),
+                                (blocks, k, "block"), (members, n, "column")):
+            _check_range(idx, size, what)
+        col_csr = Csr.group(cols, rows, n, m)
+        row_csr = Csr.group(rows, cols, m, n)
+        block_csr = Csr.group(blocks, members, k, n)
+        block_of = np.full(n, -1, dtype=np.int64)
+        np.maximum.at(block_of, block_csr.ind, block_csr.owners())
+        if np.any(block_of < 0):
+            bad = int(np.flatnonzero(block_of < 0)[0])
+            raise ValueError(f"column {bad} belongs to no block")
+        return cls(cost, demand, col_csr, row_csr, cap, block_csr, block_of, wbar=wbar)
 
     @classmethod
     def from_columns(cls, cost, col_rows, demand, blocks):
         """Build an instance from column data.
 
-        blocks is a sequence of (cap, member_columns) pairs.  Row-wise
-        adjacency and the column->block map are derived here; indices are
-        sorted and deduplicated.  Raises ValueError when a column belongs to
-        no block.
+        blocks is a sequence of (cap, member_columns) pairs.  Goes through
+        from_entries, so indices are sorted and deduplicated, the row-wise
+        adjacency and the column->block map are derived, and ValueError is
+        raised for an index out of range, a column in no block, or a number
+        of column lists other than len(cost).
         """
-        cost = np.asarray(cost, dtype=np.int64)
-        demand = np.asarray(demand, dtype=np.int64)
         n = len(cost)
-        m = len(demand)
-        cols = [np.unique(np.asarray(r, dtype=np.int32)) for r in col_rows]
-        rows = [[] for _ in range(m)]
-        for j, rset in enumerate(cols):
-            for i in rset:
-                rows[int(i)].append(j)
-        row_cols = [np.asarray(r, dtype=np.int32) for r in rows]
-        cap = np.asarray([b[0] for b in blocks], dtype=np.int64)
-        block_cols = [np.unique(np.asarray(b[1], dtype=np.int32)) for b in blocks]
-        block_of = np.full(n, -1, dtype=np.int64)
-        for h, members in enumerate(block_cols):
-            block_of[members] = h
-        if np.any(block_of < 0):
-            bad = int(np.flatnonzero(block_of < 0)[0])
-            raise ValueError(f"column {bad} belongs to no block")
-        return cls(cost, demand, cols, row_cols, cap, block_cols, block_of)
+        if len(col_rows) != n:
+            raise ValueError(f"{len(col_rows)} column lists for {n} costs")
+        members = [b[1] for b in blocks]
+        return cls.from_entries(
+            cost, demand,
+            _flat(col_rows), np.repeat(np.arange(n), [len(r) for r in col_rows]),
+            [b[0] for b in blocks],
+            np.repeat(np.arange(len(members)), [len(b) for b in members]), _flat(members),
+        )
 
     def matrix(self) -> sp.csr_matrix:
-        """0/1 coverage matrix (m x n) in CSR form, built once and cached."""
+        """0/1 coverage matrix (m x n) in CSR form over row_csr, built once and cached."""
         if self._matrix is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            indptr[1:] = np.cumsum([len(r) for r in self.col_rows])
-            indices = (
-                np.concatenate(self.col_rows)
-                if self.nnz
-                else np.zeros(0, dtype=np.int32)
-            )
-            data = np.ones(self.nnz, dtype=np.int64)
-            a = sp.csc_matrix((data, indices, indptr), shape=(self.m, self.n))
-            self._matrix = a.tocsr()
+            r = self.row_csr
+            data = np.ones(r.ind.size, dtype=np.int64)
+            self._matrix = sp.csr_matrix((data, r.ind, r.ptr), shape=(self.m, self.n))
         return self._matrix
 
     def density(self) -> float:
@@ -122,10 +218,8 @@ class Instance:
             and np.array_equal(self.cost, other.cost)
             and np.array_equal(self.demand, other.demand)
             and np.array_equal(self.cap, other.cap)
-            and all(np.array_equal(a, b) for a, b in zip(self.col_rows, other.col_rows))
-            and all(
-                np.array_equal(a, b) for a, b in zip(self.block_cols, other.block_cols)
-            )
+            and self.col_csr == other.col_csr
+            and self.block_csr == other.block_csr
         )
 
     def __repr__(self):
@@ -136,6 +230,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = a.copy() if not a.flags.owndata else a
     a.flags.writeable = False
     return a
+
+
+def _as_csr(lists) -> Csr:
+    return lists if isinstance(lists, Csr) else Csr.pack(lists)
+
+
+def _flat(lists) -> np.ndarray:
+    return np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64)
+
+
+def _check_range(idx: np.ndarray, size: int, what: str):
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        bad = idx[(idx < 0) | (idx >= size)][0]
+        raise ValueError(f"{what} index {bad} out of range for {size} {what}s")
 
 
 def as_bool(n: int, selected) -> np.ndarray:
@@ -194,13 +302,42 @@ def is_feasible(inst: Instance, x) -> bool:
     return bool(np.all(coverage_counts(inst, x) >= inst.demand)) and gub_feasible(inst, x)
 
 
+def _lists_hit(csr: Csr, entry) -> np.ndarray:
+    """bool per list: does it hold an entry where the mask entry is set."""
+    hit = np.zeros(csr.count, dtype=bool)
+    hit[csr.list_of(np.flatnonzero(entry))] = True
+    return hit
+
+
+def _lists_hit_pair(csr: Csr, pair) -> np.ndarray:
+    """bool per list: does it hold entries p, p + 1 with pair[p] set."""
+    p = np.flatnonzero(pair)
+    first, second = csr.list_of(p), csr.list_of(p + 1)
+    hit = np.zeros(csr.count, dtype=bool)
+    hit[first[first == second]] = True
+    return hit
+
+
 def validate(inst: Instance) -> list[Violation]:
-    """Check every structural invariant; returns an empty list when sound."""
+    """Check every structural invariant; returns an empty list when sound.
+
+    Works on the packed buffers as stored, so a raw instance with too many
+    or too few lists, or lists that disagree, is checked as it is.  Each
+    check runs over all entries at once (ranges, emptiness, order and
+    repeats by comparing neighbouring entries, the transpose through a
+    scipy CSC -> CSR conversion, the block partition with bincount); only
+    the columns and blocks a check flags are visited one by one, so the
+    violations come out column by column, then block by block, in index
+    order.
+    """
     out: list[Violation] = []
-    if len(inst.col_rows) != inst.n:
-        out.append(Violation("column_count_mismatch", f"{len(inst.col_rows)} column lists for n={inst.n}"))
-    if len(inst.row_cols) != inst.m:
-        out.append(Violation("row_count_mismatch", f"{len(inst.row_cols)} row lists for m={inst.m}"))
+    cols, rows, blocks = inst.col_csr, inst.row_csr, inst.block_csr
+    if cols.count != inst.n:
+        out.append(Violation("column_count_mismatch", f"{cols.count} column lists for n={inst.n}"))
+    if rows.count != inst.m:
+        out.append(Violation("row_count_mismatch", f"{rows.count} row lists for m={inst.m}"))
+    if blocks.count != inst.k:
+        out.append(Violation("block_count_mismatch", f"{blocks.count} block lists for k={inst.k}"))
     if np.any(inst.cost <= 0):
         bad = np.flatnonzero(inst.cost <= 0)[0]
         out.append(Violation("cost_not_positive", f"column {bad} has cost {inst.cost[bad]}"))
@@ -208,39 +345,67 @@ def validate(inst: Instance) -> list[Violation]:
         bad = np.flatnonzero(inst.demand < 0)[0]
         out.append(Violation("demand_negative", f"row {bad} has demand {inst.demand[bad]}"))
 
-    for j, rset in enumerate(inst.col_rows):
-        if len(rset) == 0:
+    ind = cols.ind
+    inside = (ind >= 0) & (ind < inst.m)
+    empty = np.diff(cols.ptr) == 0
+    outside = _lists_hit(cols, ~inside)
+    unsorted = _lists_hit_pair(cols, ind[1:] < ind[:-1])
+    repeated = _lists_hit_pair(cols, ind[1:] == ind[:-1])
+    for j in np.flatnonzero(empty | outside | unsorted | repeated):
+        if empty[j]:
             out.append(Violation("empty_column", f"column {j} covers no rows"))
-        if len(rset) and (rset.min() < 0 or rset.max() >= inst.m):
-            out.append(Violation("row_index_range", f"column {j} references row {int(rset.max())}"))
+        if outside[j]:
+            out.append(Violation("row_index_range",
+                                 f"column {j} references row {int(inst.col_rows[j].max())}"))
             continue
-        if np.any(np.diff(rset) < 0):
+        if unsorted[j]:
             out.append(Violation("unsorted_indices", f"column {j} row list is not sorted"))
-        elif np.any(np.diff(rset) == 0):
+        elif repeated[j]:
             out.append(Violation("duplicate_entry", f"column {j} lists a row twice"))
 
-    # transpose consistency, both directions
-    derived = [[] for _ in range(inst.m)]
-    for j, rset in enumerate(inst.col_rows):
-        for i in rset:
-            if 0 <= i < inst.m:
-                derived[int(i)].append(j)
-    for i in range(min(inst.m, len(inst.row_cols))):
-        if not np.array_equal(np.asarray(derived[i], dtype=np.int32), inst.row_cols[i]):
-            out.append(Violation("transpose_mismatch", f"row {i} column list disagrees with column data"))
-            break
+    # transpose consistency: the in-range column entries, read row by row
+    # (columns ascending, repeats kept), must equal the stored row lists
+    ptr = cols.ptr
+    if not inside.all():
+        ptr = np.concatenate(([0], np.cumsum(inside)))[ptr]
+        ind = ind[inside]
+    derived = sp.csc_matrix((np.ones(ind.size, dtype=np.int8), ind, ptr),
+                            shape=(inst.m, cols.count)).tocsr()
+    last = min(inst.m, rows.count)
+    sizes_differ = np.flatnonzero(np.diff(derived.indptr[:last + 1]) != np.diff(rows.ptr[:last + 1]))
+    first = int(sizes_differ[0]) if sizes_differ.size else last
+    end = int(rows.ptr[first])
+    differ = np.flatnonzero(derived.indices[:end] != rows.ind[:end])
+    if differ.size:
+        first = int(rows.list_of(differ[0]))
+    if first < last:
+        out.append(Violation("transpose_mismatch", f"row {first} column list disagrees with column data"))
 
-    seen = np.zeros(inst.n, dtype=np.int64)
-    for h, members in enumerate(inst.block_cols):
-        if len(members) and (members.min() < 0 or members.max() >= inst.n):
-            out.append(Violation("column_index_range", f"block {h} references column {int(members.max())}"))
+    owner = blocks.owners()
+    bind = blocks.ind
+    b_outside = _lists_hit(blocks, (bind < 0) | (bind >= inst.n))
+    ok = np.flatnonzero(~b_outside[owner])
+    pairs = np.unique(owner[ok] * inst.n + bind[ok])
+    seen = np.bincount(pairs % inst.n if inst.n else pairs, minlength=inst.n)
+    wrong = ok[inst.block_of[bind[ok]] != owner[ok]]
+    mismatch = np.zeros(blocks.count, dtype=bool)
+    mismatch[owner[wrong]] = True
+    size = np.diff(blocks.ptr)
+    capped = min(blocks.count, inst.k)
+    cap_low = np.zeros(blocks.count, dtype=bool)
+    cap_low[:capped] = inst.cap[:capped] < 1
+    cap_high = np.zeros(blocks.count, dtype=bool)
+    cap_high[:capped] = inst.cap[:capped] > size[:capped]
+    for h in np.flatnonzero(b_outside | cap_low | cap_high | mismatch):
+        if b_outside[h]:
+            out.append(Violation("column_index_range",
+                                 f"block {h} references column {int(inst.block_cols[h].max())}"))
             continue
-        seen[members] += 1
-        if inst.cap[h] < 1:
+        if cap_low[h]:
             out.append(Violation("cap_not_positive", f"block {h} has cap {inst.cap[h]}"))
-        if inst.cap[h] > len(members):
-            out.append(Violation("cap_exceeds_block_size", f"block {h} cap {inst.cap[h]} > size {len(members)}"))
-        if np.any(inst.block_of[members] != h):
+        if cap_high[h]:
+            out.append(Violation("cap_exceeds_block_size", f"block {h} cap {inst.cap[h]} > size {size[h]}"))
+        if mismatch[h]:
             out.append(Violation("block_of_mismatch", f"block {h} members disagree with block_of"))
     if np.any(seen != 1):
         bad = np.flatnonzero(seen != 1)[0]

@@ -87,14 +87,12 @@ class ReducedProblem:
         cols = np.flatnonzero(core)
         pos = np.empty(inst.n, dtype=np.int64)
         pos[cols] = np.arange(cols.size)
-
-        def kept(members):
-            return pos[members[core[members]]]
-
-        sub = Instance(inst.cost[cols], self.demand, [inst.col_rows[j] for j in cols],
-                       [kept(c) for c in inst.row_cols], self.cap,
-                       [kept(c) for c in inst.block_cols], inst.block_of[cols],
-                       wbar=inst.wbar)
+        rows, blocks = inst.row_csr, inst.block_csr
+        cover = core[rows.ind]
+        member = core[blocks.ind]
+        sub = Instance.from_entries(
+            inst.cost[cols], self.demand, rows.owners()[cover], pos[rows.ind[cover]],
+            self.cap, blocks.owners()[member], pos[blocks.ind[member]], wbar=inst.wbar)
         return sub, cols
 
 

@@ -99,6 +99,16 @@ def test_solve_reports_no_feasible(tmp_path, capsys):
     assert "no feasible solution found" in out
 
 
+def test_solve_rejects_oversized_integer(t1_file, capsys):
+    with open(t1_file) as fh:
+        lines = fh.read().splitlines()
+    lines[1] = "99999999999999999999 " + lines[1].split(" ", 1)[1]
+    with open(t1_file, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    assert cli.main(["solve", "--instance", t1_file, "--time-limit", "1"]) == 1
+    assert "error: line 2: cost of column 1 99999999999999999999 out of range" in capsys.readouterr().err
+
+
 def test_solve_rejects_bad_config(t1_file, capsys):
     rc = cli.main(["solve", "--instance", t1_file, "--time-limit", "-1"])
     assert rc == 1
@@ -236,6 +246,24 @@ def test_bench_workers_agree(t1_file, tmp_path, capsys):
     assert rows1 == rows2
     kinds = [row["kind"] for row in rows1]
     assert kinds.count("run") == 4 and kinds.count("avg") == 2
+
+
+def test_bench_reads_each_file_once(t1_file, tmp_path, capsys, monkeypatch):
+    calls = []
+    read = gio.read_instance
+
+    def counting(path, fmt="gub"):
+        calls.append(path)
+        return read(path, fmt)
+
+    monkeypatch.setattr(gio, "read_instance", counting)
+    base = ["bench", "--instances", str(tmp_path), "--schemes", "pseudo,none",
+            "--seeds", "2", "--time-limit", "0.3", "--workers", "1"]
+    assert cli.main(base + ["--out", str(tmp_path / "a.csv")]) == 0
+    assert calls == [t1_file]
+    # the slot is cleared after each bench, so a second one reads again
+    assert cli.main(base + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert calls == [t1_file, t1_file]
 
 
 def test_bench_gap_against_best_known(t1_file, tmp_path, capsys):

@@ -2,10 +2,13 @@ import gzip
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gubcover import io as gio
 from gubcover import model
 from gubcover.io import FormatError, GeneratorParams
+from gubcover.model import Instance
 
 from conftest import build_t1, random_instance
 
@@ -202,3 +205,196 @@ def test_result_serialization(tmp_path):
     assert '"objective": 8' in text
     assert '"feasible": true' in text
     assert '"instance_name": "t1.gub"' in text
+
+
+# -- array readers: equality with from_columns, and malformed input ----------
+
+
+def assert_same_instance(a, b):
+    """Field by field, adjacency views and coverage matrix included."""
+    assert (a.m, a.n, a.k, a.nnz, a.wbar) == (b.m, b.n, b.k, b.nnz, b.wbar)
+    for name in ("cost", "demand", "cap", "block_of"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for name in ("col_rows", "row_cols", "block_cols"):
+        xs, ys = getattr(a, name), getattr(b, name)
+        assert len(xs) == len(ys), name
+        for x, y in zip(xs, ys):
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+    ma, mb = a.matrix(), b.matrix()
+    assert ma.dtype == mb.dtype and (ma != mb).nnz == 0
+
+
+@st.composite
+def raw_files(draw, fmt):
+    """(text, expected Instance) for a random file in fmt.
+
+    Lists are written in random order, and row lists may repeat a column;
+    the expected instance is built by from_columns from the same data.
+    """
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    cost = draw(st.lists(st.integers(1, 10**12), min_size=n, max_size=n))
+    toks = []
+    if fmt == "rail":
+        # per column 1..m rows, any order, repeats allowed
+        col_rows = [draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m))
+                    for _ in range(n)]
+        toks += [m, n]
+        for j in range(n):
+            toks += [cost[j], len(col_rows[j])] + [i + 1 for i in col_rows[j]]
+        return toks, Instance.from_columns(cost, col_rows, [1] * m, [(1, [j]) for j in range(n)])
+    # per row 0..n columns, any order, repeats allowed
+    rows = [draw(st.lists(st.integers(0, n - 1), max_size=n)) for _ in range(m)]
+    col_rows = [[i for i in range(m) for c in rows[i] if c == j] for j in range(n)]
+    if fmt == "orlib":
+        toks += [m, n] + cost
+        for r in rows:
+            toks += [len(r)] + [j + 1 for j in r]
+        return toks, Instance.from_columns(cost, col_rows, [1] * m, [(1, [j]) for j in range(n)])
+    demand = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
+    k = draw(st.integers(1, n))
+    owner = draw(st.permutations(list(range(k)) + draw(
+        st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))))
+    blocks = []
+    for h in range(k):
+        members = draw(st.permutations([j for j in range(n) if owner[j] == h]))
+        if len(members) < n and draw(st.booleans()):
+            members = members + [members[0]]
+        blocks.append((draw(st.integers(0, 3)), members))
+    toks += [m, n, k] + cost + demand
+    for r in rows:
+        toks += [len(r)] + [j + 1 for j in r]
+    for cap, members in blocks:
+        toks += [cap, len(members)] + [j + 1 for j in members]
+    return toks, Instance.from_columns(cost, col_rows, demand, blocks)
+
+
+def _write_tokens(path, toks, breaks):
+    """Tokens joined by spaces, with a line break after each position in breaks."""
+    words = [str(t) for t in toks]
+    for at in sorted(breaks, reverse=True):
+        if 0 < at < len(words):
+            words.insert(at, "\n")
+    text = " ".join(words) + "\n"
+    if str(path).endswith(".gz"):
+        with gzip.open(path, "wt") as fh:
+            fh.write(text)
+    else:
+        path.write_text(text)
+
+
+SUFFIX = {"gub": ".gub", "orlib": ".txt", "rail": ".txt"}
+
+
+@pytest.mark.parametrize("zipped", [False, True])
+@pytest.mark.parametrize("fmt", gio.FORMATS)
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reader_matches_from_columns(tmp_path, fmt, zipped, data):
+    toks, expected = data.draw(raw_files(fmt))
+    breaks = data.draw(st.lists(st.integers(0, len(toks)), max_size=8))
+    batch = data.draw(st.sampled_from([1, 3, 1 << 16]))
+    path = tmp_path / ("f" + SUFFIX[fmt] + (".gz" if zipped else ""))
+    _write_tokens(path, toks, breaks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gio, "_BATCH", batch)
+        assert_same_instance(gio.read_instance(path, fmt), expected)
+
+
+def test_gub_reader_sorts_and_dedups(tmp_path):
+    # row 1 lists its columns out of order and column 3 twice; block 1 is
+    # written backwards and repeats a member
+    path = tmp_path / "messy.gub"
+    path.write_text("2 4 2\n5 6 7 8\n1 2\n2 2 1\n3 4 3 3\n1 3 2 1 2\n2 2 4 3\n")
+    inst = gio.read_gub(path)
+    assert [list(r) for r in inst.row_cols] == [[0, 1], [2, 3]]
+    assert [list(r) for r in inst.col_rows] == [[0], [0], [1], [1]]
+    assert [list(b) for b in inst.block_cols] == [[0, 1], [2, 3]]
+    assert list(inst.block_of) == [0, 0, 1, 1]
+    assert_same_instance(inst, Instance.from_columns(
+        [5, 6, 7, 8], [[0], [0], [1], [1]], [1, 2], [(1, [0, 1]), (2, [2, 3])]))
+
+
+def test_orlib_and_rail_readers_sort_and_dedup(tmp_path):
+    orlib = tmp_path / "messy.txt"
+    orlib.write_text("2 3\n4 5 6\n3 3 1 3\n1 2\n")
+    inst = gio.read_instance(orlib, "orlib")
+    assert [list(r) for r in inst.row_cols] == [[0, 2], [1]]
+    assert [list(r) for r in inst.col_rows] == [[0], [1], [0]]
+    rail = tmp_path / "messy.rail"
+    rail.write_text("3 2\n4 3 3 1 3\n5 1 2\n")
+    inst = gio.read_instance(rail, "rail")
+    assert [list(r) for r in inst.col_rows] == [[0, 2], [1]]
+    assert [list(r) for r in inst.row_cols] == [[0], [1], [0]]
+
+
+def test_gub_column_in_two_blocks_error(tmp_path):
+    path = tmp_path / "twice.gub"
+    path.write_text("1 2 2\n1 1\n1\n2 1 2\n1 2 1 2\n1 1 2\n")
+    with pytest.raises(FormatError, match="column 2 appears in 2 blocks"):
+        gio.read_gub(path)
+
+
+@pytest.mark.parametrize("field,line", [("cost", 2), ("demand", 3), ("cap", 7)])
+def test_oversized_integer_error(tmp_path, t1, field, line):
+    path = tmp_path / "big.gub"
+    gio.write_gub(t1, path)
+    lines = path.read_text().splitlines()
+    words = lines[line - 1].split()
+    words[0] = "99999999999999999999"
+    lines[line - 1] = " ".join(words)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=f"line {line}: {field} .* out of range"):
+        gio.read_gub(path)
+
+
+@pytest.mark.parametrize("line,word,field", [
+    (1, 0, "row count"), (1, 2, "block count"), (2, 1, "cost of column 2"),
+    (3, 2, "demand of row 3"), (4, 0, "cover count of row 1"),
+    (5, 2, "covering column of row 2"), (7, 0, "cap of block 1"),
+    (8, 1, "size of block 2"), (8, 3, "member of block 2"),
+])
+def test_negative_field_error(tmp_path, t1, line, word, field):
+    path = tmp_path / "neg.gub"
+    gio.write_gub(t1, path)
+    lines = [text.split() for text in path.read_text().splitlines()]
+    lines[line - 1][word] = "-1"
+    path.write_text("\n".join(" ".join(words) for words in lines) + "\n")
+    with pytest.raises(FormatError, match=f"^line {line}: {field} -1 out of range$"):
+        gio.read_gub(path)
+
+
+def test_huge_count_fails_fast(tmp_path):
+    path = tmp_path / "huge.gub"
+    path.write_text("9223372036854775807 2 1\n1 1\n")
+    with pytest.raises(FormatError, match="end of file"):
+        gio.read_gub(path)
+
+
+MUTATIONS = ("truncate", "word", "decimal", "negative", "digits20", "trailing")
+
+
+def _mutate(toks, kind, at):
+    words = [str(t) for t in toks]
+    if kind == "truncate":
+        return words[:at % len(words)]
+    if kind == "trailing":
+        return words + ["1"] * (1 + at % 3)
+    bad = {"word": "x", "decimal": "1.5", "negative": "-1",
+           "digits20": "99999999999999999999"}[kind]
+    words[at % len(words)] = bad
+    return words
+
+
+@pytest.mark.parametrize("fmt", gio.FORMATS)
+@settings(max_examples=150, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_tokens_raise_format_error(tmp_path, fmt, data):
+    toks, _ = data.draw(raw_files(fmt))
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    words = _mutate(toks, kind, data.draw(st.integers(0, 10**6)))
+    path = tmp_path / ("bad" + SUFFIX[fmt])
+    path.write_text(" ".join(words) + "\n")
+    with pytest.raises(FormatError, match=r"^(line \d+: |column \d+ appears)"):
+        gio.read_instance(path, fmt)

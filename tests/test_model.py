@@ -120,3 +120,219 @@ def test_matrix_matches_col_rows():
     a = inst.matrix().toarray()
     for j in range(inst.n):
         assert list(np.flatnonzero(a[:, j])) == list(inst.col_rows[j])
+
+
+# -- validate against the loop it replaced ------------------------------------
+
+
+def validate_reference(inst):
+    """The per-column, per-block loop that model.validate replaced.
+
+    Kept as the reference the vectorized checks must reproduce exactly:
+    same codes, same messages, same order.
+    """
+    out = []
+    if len(inst.col_rows) != inst.n:
+        out.append(model.Violation("column_count_mismatch", f"{len(inst.col_rows)} column lists for n={inst.n}"))
+    if len(inst.row_cols) != inst.m:
+        out.append(model.Violation("row_count_mismatch", f"{len(inst.row_cols)} row lists for m={inst.m}"))
+    if np.any(inst.cost <= 0):
+        bad = np.flatnonzero(inst.cost <= 0)[0]
+        out.append(model.Violation("cost_not_positive", f"column {bad} has cost {inst.cost[bad]}"))
+    if np.any(inst.demand < 0):
+        bad = np.flatnonzero(inst.demand < 0)[0]
+        out.append(model.Violation("demand_negative", f"row {bad} has demand {inst.demand[bad]}"))
+
+    for j, rset in enumerate(inst.col_rows):
+        if len(rset) == 0:
+            out.append(model.Violation("empty_column", f"column {j} covers no rows"))
+        if len(rset) and (rset.min() < 0 or rset.max() >= inst.m):
+            out.append(model.Violation("row_index_range", f"column {j} references row {int(rset.max())}"))
+            continue
+        if np.any(np.diff(rset) < 0):
+            out.append(model.Violation("unsorted_indices", f"column {j} row list is not sorted"))
+        elif np.any(np.diff(rset) == 0):
+            out.append(model.Violation("duplicate_entry", f"column {j} lists a row twice"))
+
+    derived = [[] for _ in range(inst.m)]
+    for j, rset in enumerate(inst.col_rows):
+        for i in rset:
+            if 0 <= i < inst.m:
+                derived[int(i)].append(j)
+    for i in range(min(inst.m, len(inst.row_cols))):
+        if not np.array_equal(np.asarray(derived[i], dtype=np.int32), inst.row_cols[i]):
+            out.append(model.Violation("transpose_mismatch", f"row {i} column list disagrees with column data"))
+            break
+
+    seen = np.zeros(inst.n, dtype=np.int64)
+    for h, members in enumerate(inst.block_cols):
+        if len(members) and (members.min() < 0 or members.max() >= inst.n):
+            out.append(model.Violation("column_index_range", f"block {h} references column {int(members.max())}"))
+            continue
+        seen[members] += 1
+        if inst.cap[h] < 1:
+            out.append(model.Violation("cap_not_positive", f"block {h} has cap {inst.cap[h]}"))
+        if inst.cap[h] > len(members):
+            out.append(model.Violation("cap_exceeds_block_size", f"block {h} cap {inst.cap[h]} > size {len(members)}"))
+        if np.any(inst.block_of[members] != h):
+            out.append(model.Violation("block_of_mismatch", f"block {h} members disagree with block_of"))
+    if np.any(seen != 1):
+        bad = np.flatnonzero(seen != 1)[0]
+        out.append(model.Violation("blocks_not_partition", f"column {bad} appears in {seen[bad]} blocks"))
+    return out
+
+
+def _pick(rng, seq):
+    return int(rng.integers(len(seq)))
+
+
+def _fault_cost(p, rng):
+    p["cost"][_pick(rng, p["cost"])] = int(rng.choice([0, -4]))
+
+
+def _fault_demand(p, rng):
+    p["demand"][_pick(rng, p["demand"])] = int(rng.choice([-1, -9]))
+
+
+def _fault_empty_column(p, rng):
+    p["col_rows"][_pick(rng, p["col_rows"])] = []
+
+
+def _fault_row_range(p, rng):
+    m = len(p["demand"])
+    p["col_rows"][_pick(rng, p["col_rows"])].insert(0, int(rng.choice([-1, m, m + 5])))
+
+
+def _fault_unsorted(p, rng):
+    rows = p["col_rows"][_pick(rng, p["col_rows"])]
+    rows.append(0 if rows[-1] else 1)
+
+
+def _fault_duplicate(p, rng):
+    rows = p["col_rows"][_pick(rng, p["col_rows"])]
+    at = _pick(rng, rows)
+    rows.insert(at, rows[at])
+
+
+def _fault_transpose(p, rng):
+    cols = p["row_cols"][_pick(rng, p["row_cols"])]
+    if cols and rng.random() < 0.5:
+        cols.pop(_pick(rng, cols))
+    else:
+        cols.append(int(rng.integers(len(p["cost"]))))
+
+
+def _fault_column_count(p, rng):
+    if rng.random() < 0.5:
+        p["col_rows"].pop()
+    else:
+        p["col_rows"].append([int(rng.integers(len(p["demand"])))])
+
+
+def _fault_row_count(p, rng):
+    if rng.random() < 0.5:
+        p["row_cols"].pop()
+    else:
+        p["row_cols"].append([])
+
+
+def _fault_column_range(p, rng):
+    n = len(p["cost"])
+    p["block_cols"][_pick(rng, p["block_cols"])].append(int(rng.choice([-2, n, n + 3])))
+
+
+def _fault_cap_low(p, rng):
+    p["cap"][_pick(rng, p["cap"])] = int(rng.choice([0, -3]))
+
+
+def _fault_cap_high(p, rng):
+    h = _pick(rng, p["cap"])
+    p["cap"][h] = len(p["block_cols"][h]) + int(rng.integers(1, 3))
+
+
+def _fault_block_of(p, rng):
+    p["block_of"][_pick(rng, p["block_of"])] = int(rng.choice([-1, len(p["cap"])]))
+
+
+def _fault_partition(p, rng):
+    members = p["block_cols"][_pick(rng, p["block_cols"])]
+    if rng.random() < 0.5:
+        members.pop(_pick(rng, members))
+    else:
+        members.append(int(rng.integers(len(p["cost"]))))
+
+
+def _fault_block_repeat(p, rng):
+    # a member listed twice in its own block: counted once for the partition
+    members = p["block_cols"][_pick(rng, p["block_cols"])]
+    members.insert(0, members[-1])
+
+
+# faults that break no invariant on their own
+HARMLESS = {"unsorted_block", "repeated_block_member"}
+
+FAULTS = {
+    "cost_not_positive": _fault_cost,
+    "demand_negative": _fault_demand,
+    "empty_column": _fault_empty_column,
+    "row_index_range": _fault_row_range,
+    "unsorted_indices": _fault_unsorted,
+    "duplicate_entry": _fault_duplicate,
+    "transpose_mismatch": _fault_transpose,
+    "column_count_mismatch": _fault_column_count,
+    "row_count_mismatch": _fault_row_count,
+    "column_index_range": _fault_column_range,
+    "cap_not_positive": _fault_cap_low,
+    "cap_exceeds_block_size": _fault_cap_high,
+    "block_of_mismatch": _fault_block_of,
+    "blocks_not_partition": _fault_partition,
+    "unsorted_block": lambda p, rng: p["block_cols"][_pick(rng, p["block_cols"])].reverse(),
+    "repeated_block_member": _fault_block_repeat,
+}
+
+
+def _raw_parts(inst):
+    return {
+        "cost": [int(c) for c in inst.cost],
+        "demand": [int(b) for b in inst.demand],
+        "col_rows": [[int(i) for i in r] for r in inst.col_rows],
+        "row_cols": [[int(j) for j in c] for c in inst.row_cols],
+        "cap": [int(c) for c in inst.cap],
+        "block_cols": [[int(j) for j in b] for b in inst.block_cols],
+        "block_of": [int(h) for h in inst.block_of],
+    }
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_validate_matches_reference_one_fault(fault):
+    rng = np.random.default_rng(sorted(FAULTS).index(fault))
+    raised = 0
+    for _ in range(40):
+        parts = _raw_parts(random_instance(rng))
+        FAULTS[fault](parts, rng)
+        inst = Instance(**parts)
+        got = model.validate(inst)
+        assert got == validate_reference(inst)
+        raised += fault in {v.code for v in got}
+    if fault not in HARMLESS:
+        assert raised >= 30  # the injection really produces its own code
+
+
+def test_validate_matches_reference_many_faults():
+    rng = np.random.default_rng(11)
+    names = sorted(FAULTS)
+    for _ in range(300):
+        parts = _raw_parts(random_instance(rng))
+        for name in rng.choice(names, size=int(rng.integers(2, 7))):
+            FAULTS[name](parts, rng)
+        inst = Instance(**parts)
+        assert model.validate(inst) == validate_reference(inst)
+
+
+def test_validate_reports_block_count_mismatch(t1):
+    # the loop reference indexes cap by block and cannot take extra blocks
+    broken = Instance(t1.cost, t1.demand, t1.col_rows, t1.row_cols, t1.cap,
+                      list(t1.block_cols) + [np.array([0], dtype=np.int32)], t1.block_of)
+    codes = [v.code for v in model.validate(broken)]
+    assert codes[0] == "block_count_mismatch"
+    assert "blocks_not_partition" in codes
