@@ -19,6 +19,12 @@ so flipping j up changes the penalized value by cost[j] - dp_up[j] and
 flipping it down by -cost[j] + dp_down[j].  A flip of j shifts s on its
 rows by one; only rows crossing the demand threshold require touching the
 dp entries of their adjacent columns.
+
+Pair moves are priced from the same tables without flipping anything:
+dropping j1 and adding j2 gains the two single-flip gains less the weight
+of the rows both cover at s == demand.  The swap scan adds those rows into
+each partner's gain in closed form, and the saturated-block pass skips the
+blocks whose lower bound (_pair_bounds) rules out an improving swap.
 """
 
 from __future__ import annotations
@@ -140,7 +146,7 @@ class SearchState:
             elif si == b[i] + 1:
                 self.dp_down[inst.row_cols[i]] -= w[i]
 
-    def _flip_down(self, j):
+    def _flip_down(self, j, patches=None):
         inst = self.inst
         assert self.x[j]
         self.zhat += -self.costf[j] + self.dp_down[j]
@@ -154,50 +160,31 @@ class SearchState:
             if si < b[i]:
                 self.viol += 1
             if si == b[i] - 1:
-                self.dp_up[inst.row_cols[i]] += w[i]
+                dp = self.dp_up
             elif si == b[i]:
-                self.dp_down[inst.row_cols[i]] += w[i]
+                dp = self.dp_down
+            else:
+                continue
+            cols = inst.row_cols[i]
+            if patches is not None:
+                patches.append((dp, cols, dp[cols].copy()))
+            dp[cols] += w[i]
 
     def trial_flip_down(self, j):
         """Flip selected j down, remembering enough to undo it exactly.
 
         Returns (opened_rows, undo).  opened_rows are the covered rows that
-        dropped to demand-1, i.e. the rows whose adjacent columns just got
-        more attractive to add; the swap search scans exactly those.  undo
-        restores every touched cell from saved copies, so restoration is
-        bit-exact even with real-valued weights.
+        drop to demand-1, whose adjacent columns get more attractive to add.
+        undo restores every touched cell from saved copies, so undo_trial is
+        bit-exact even with real-valued weights.  The swap scan applies its
+        accepted swaps through this method, and perfbench's traced run counts
+        them as its calls less those of undo_trial.
         """
-        inst = self.inst
-        assert self.x[j]
-        rows = inst.col_rows[j]
-        undo = {
-            "j": j,
-            "cost": self.cost,
-            "viol": self.viol,
-            "zhat": self.zhat,
-            "s": self.s[rows].copy(),
-            "patches": [],
-        }
-        self.zhat += -self.costf[j] + self.dp_down[j]
-        self.x[j] = False
-        self.cost -= int(inst.cost[j])
-        self.blk[inst.block_of[j]] -= 1
-        w, b, s = self.w, self.b, self.s
-        opened = []
-        for i in rows:
-            si = s[i] - 1
-            s[i] = si
-            if si < b[i]:
-                self.viol += 1
-            if si == b[i] - 1:
-                cols = inst.row_cols[i]
-                undo["patches"].append((self.dp_up, cols, self.dp_up[cols].copy()))
-                self.dp_up[cols] += w[i]
-                opened.append(i)
-            elif si == b[i]:
-                cols = inst.row_cols[i]
-                undo["patches"].append((self.dp_down, cols, self.dp_down[cols].copy()))
-                self.dp_down[cols] += w[i]
+        rows = self.inst.col_rows[j]
+        undo = {"j": j, "cost": self.cost, "viol": self.viol, "zhat": self.zhat,
+                "s": self.s[rows].copy(), "patches": []}
+        opened = rows[self.s[rows] == self.b[rows]]
+        self._flip_down(j, undo["patches"])
         return opened, undo
 
     def undo_trial(self, undo):
@@ -239,16 +226,17 @@ def _add_candidates(state: SearchState):
     return ~state.x & open_blocks[state.inst.block_of]
 
 
-def gain_tol(state) -> float:
+def gain_tol(state, zhat=None) -> float:
     """Minimum gain a move must clear to count as improving.
 
-    Relative to the current penalized value.  The weight-decrease step
+    Relative to the current penalized value, or to zhat, the value after a
+    drop that the caller has priced but not made.  The weight-decrease step
     parks weights a whisker below exact break-even ratios on purpose;
     without this floor the swap scan can chew through endless chains of
     break-even-minus-epsilon moves that change nothing.  Integer-weight
     gains are whole numbers and sit far above the floor.
     """
-    return 1e-6 * max(1.0, abs(state.zhat))
+    return 1e-6 * max(1.0, abs(state.zhat if zhat is None else zhat))
 
 
 def _step_add(state, tracker, budget):
@@ -281,16 +269,46 @@ def _step_drop(state, tracker, budget):
     return moved
 
 
+def _block_min(state, values):
+    """Minimum of values[:, members] per block, as a (len(values), k) array.
+
+    A segment reduction over block_csr; an empty block, which restrict can
+    leave behind, gets +inf.
+    """
+    csr = state.inst.block_csr
+    starts = csr.ptr[:-1]
+    full = starts < csr.ptr[1:]
+    out = np.full((len(values), csr.count), np.inf)
+    if csr.ind.size:
+        out[:, full] = np.minimum.reduceat(values[:, csr.ind], starts[full], axis=1)
+    return out
+
+
 def _block_argmin_pair(state, h):
-    """Best drop and best add inside block h, or None when one side is empty."""
+    """Best drop and best add inside block h, which has both kinds of member."""
     members = state.inst.block_cols[h]
     selected = members[state.x[members]]
     addable = members[~state.x[members]]
-    if selected.size == 0 or addable.size == 0:
-        return None
     j1 = selected[int(np.argmin(-state.costf[selected] + state.dp_down[selected]))]
     j2 = addable[int(np.argmin(state.costf[addable] - state.dp_up[addable]))]
     return int(j1), int(j2)
+
+
+def _pair_bounds(state):
+    """Per block, a lower bound on the gain of its argmin pair, and a margin.
+
+    The bound is (least drop gain) + (least add gain) - (largest weight of
+    exactly-covered rows, dp_down - dp_up, over the selected members).  The
+    pair's shared exactly-covered rows weigh at most as much as all of the
+    dropped column's, so the bound never exceeds the pair's gain.  The
+    margin covers the rounding that the dp tables carry.
+    """
+    x = state.x
+    parts = _block_min(state, np.stack([
+        np.where(x, -state.costf + state.dp_down, np.inf),
+        np.where(x, np.inf, state.costf - state.dp_up),
+        np.where(x, state.dp_up - state.dp_down, np.inf)]))
+    return parts.sum(axis=0), 1e-9 * np.abs(parts).sum(axis=0)
 
 
 def _step_swap_saturated(state, tracker, budget):
@@ -300,17 +318,19 @@ def _step_swap_saturated(state, tracker, budget):
     candidate is the pair (cheapest drop, cheapest add); if some improving
     swap exists there with no shared exactly-covered row, that pair is
     improving too, which is what makes checking one pair per block enough.
+    A block whose _pair_bounds bound clears the gain floor cannot improve
+    and is skipped; the bounds are recomputed after every accepted swap.
     """
     moved = False
     while budget[0] > 0:
         updated = False
+        bound, margin = _pair_bounds(state)
         for h in np.flatnonzero(state.blk == state.d):
             if budget[0] <= 0:
                 break
-            pair = _block_argmin_pair(state, h)
-            if pair is None:
-                continue
-            j1, j2 = pair
+            if not bound[h] < -gain_tol(state) + margin[h]:
+                continue  # also every block with an empty side: its bound is +inf
+            j1, j2 = _block_argmin_pair(state, h)
             if state.two_flip_delta(j1, j2) < -gain_tol(state):
                 state._flip_down(j1)
                 state._flip_up(j2)
@@ -318,32 +338,43 @@ def _step_swap_saturated(state, tracker, budget):
                 budget[0] -= 1
                 updated = True
                 moved = True
+                bound, margin = _pair_bounds(state)
         if not updated:
             break
     return moved
 
 
-def _best_swap_for(state, j1, d1, opened):
-    """Best partner to add after trially dropping j1.
+def _best_partner(state, j1, d1):
+    """Best (gain, j2) for dropping selected j1 (gain d1) and adding j2.
 
-    Candidates are the unselected columns covering a row that the drop
-    pushed below demand; any other column shares no newly-short row with
-    j1 and cannot combine with it for a gain beyond the two single flips.
-    Caps are checked against the trial state, where j1 is already out.
+    Dropping j1 opens its rows at s == b.  Only columns covering an opened
+    row can gain beyond the two single flips, so those are the candidates:
+    the unselected ones and j1 itself, with caps checked as if j1's block
+    had one member fewer.  j2's gain is d1 + c_j2 - (dp_up[j2] + the w_i of
+    the opened rows it covers), summed row by row in j1's row order, so it
+    is the same float that dropping j1 in place would leave in dp_up.
+    Returns None when no column qualifies.
     """
-    if not opened:
+    inst = state.inst
+    rows = inst.col_rows[j1]
+    opened = rows[state.s[rows] == state.b[rows]]
+    if opened.size == 0:
         return None
-    cols = np.unique(np.concatenate([state.inst.row_cols[i] for i in opened]))
-    cols = cols[~state.x[cols]]
-    if cols.size == 0:
+    lists = [inst.row_cols[i] for i in opened]
+    cols = np.concatenate(lists)
+    lost = np.empty(inst.n)
+    lost[cols] = state.dp_up[cols]
+    for i, c in zip(opened, lists):
+        lost[c] += state.w[i]
+    h = inst.block_of[cols]
+    keep = ((~state.x[cols] | (cols == j1))
+            & (state.blk[h] - (h == inst.block_of[j1]) < state.d[h]))
+    if not keep.any():
         return None
-    hb = state.inst.block_of[cols]
-    cols = cols[state.blk[hb] < state.d[hb]]
-    if cols.size == 0:
-        return None
-    deltas = d1 + state.costf[cols] - state.dp_up[cols]
-    pos = int(np.argmin(deltas))
-    return float(deltas[pos]), int(cols[pos])
+    cols = cols[keep]
+    deltas = d1 + state.costf[cols] - lost[cols]
+    best = deltas.min()
+    return float(best), int(cols[deltas == best].min())
 
 
 def _scan_candidates(state):
@@ -354,7 +385,7 @@ def _scan_candidates(state):
     rows), the last term being dp_down − dp_up.  The add-gain floor is the
     minimum over cap-open blocks, or over j1's own block mates, which the
     drop itself reopens.  Columns whose bound is nonnegative cannot start
-    an improving swap and are dropped before any trial work.
+    an improving swap and are dropped before any partner search.
     """
     inst = state.inst
     sel = np.flatnonzero(state.x)
@@ -363,8 +394,7 @@ def _scan_candidates(state):
     gains = np.where(~state.x, state.costf - state.dp_up, np.inf)
     open_blocks = state.blk < state.d
     open_gain = gains[open_blocks[inst.block_of]].min(initial=np.inf)
-    block_gain = np.full(inst.k, np.inf)
-    np.minimum.at(block_gain, inst.block_of, gains)
+    block_gain = _block_min(state, gains[None])[0]
     floor = np.minimum(open_gain, block_gain[inst.block_of[sel]])
     d1 = -state.costf[sel] + state.dp_down[sel]
     bound = d1 + floor - (state.dp_down[sel] - state.dp_up[sel])
@@ -376,22 +406,22 @@ def _step_swap_scan(state, tracker, budget):
     """Drop/add swaps over the selected columns, first hit wins.
 
     Visits the candidate columns by ascending drop gain (order frozen at
-    entry), tries each as the dropped half of a swap, and applies the best
-    improving partner of the first column that has one.  The caller then
-    restarts from the single-flip phases, so at most one swap lands here.
+    entry) and applies the first one's best partner that beats the gain
+    floor of the state after the drop, as trial_flip_down then _flip_up.
+    The caller then restarts from the single-flip phases, so at most one
+    swap lands here.
     """
     for j1 in _scan_candidates(state):
         if budget[0] <= 0:
             break
         d1 = state.delta_down(j1)
-        opened, undo = state.trial_flip_down(j1)
-        best = _best_swap_for(state, j1, d1, opened)
-        if best is not None and best[0] < -gain_tol(state):
+        best = _best_partner(state, j1, d1)
+        if best is not None and best[0] < -gain_tol(state, state.zhat + d1):
+            state.trial_flip_down(j1)
             state._flip_up(best[1])
             _observe(tracker, state)
             budget[0] -= 1
             return True
-        state.undo_trial(undo)
     return False
 
 
@@ -404,7 +434,7 @@ def two_fnls(state: SearchState, one_flip_only=False, tracker=None, move_cap=Non
     accepted pair move restarts the cycle, so on exit no phase has an
     improving move left.  Single-flip phases always run to completion
     before the pair phases, and the routine only ever accepts strictly
-    improving moves.
+    improving moves.  Pair gains come in closed form (see the module notes).
 
     deadline (time.monotonic seconds) cuts the run short between phases;
     near-uniform weights can make the swap scan grind through long chains

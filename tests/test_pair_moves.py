@@ -1,0 +1,188 @@
+"""Closed-form pair moves against the in-place trial search they replace.
+
+The references here are the swap scan that drops each candidate in place,
+reads its partner off the updated dp table and undoes the drop, and the
+saturated-block pass that checks every saturated block.  The solver's
+versions must reach the same decisions bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from gubcover import localsearch as ls
+from gubcover.reduction import apply_fixing
+
+from conftest import nb1_state, random_gub_feasible, random_instance, random_weights
+
+
+def trial_best_swap_for(state, j1, d1, opened):
+    """Best partner to add after j1 has been dropped in place."""
+    if len(opened) == 0:
+        return None
+    cols = np.unique(np.concatenate([state.inst.row_cols[i] for i in opened]))
+    cols = cols[~state.x[cols]]
+    if cols.size == 0:
+        return None
+    hb = state.inst.block_of[cols]
+    cols = cols[state.blk[hb] < state.d[hb]]
+    if cols.size == 0:
+        return None
+    deltas = d1 + state.costf[cols] - state.dp_up[cols]
+    pos = int(np.argmin(deltas))
+    return float(deltas[pos]), int(cols[pos])
+
+
+def trial_partner(state, j1):
+    """(best, gain floor) of the in-place trial; the state is left as it was."""
+    d1 = state.delta_down(j1)
+    opened, undo = state.trial_flip_down(j1)
+    best = trial_best_swap_for(state, j1, d1, opened)
+    tol = ls.gain_tol(state)
+    state.undo_trial(undo)
+    return best, tol
+
+
+def trial_swap_scan(state, budget):
+    """The swap scan as a drop, partner search and undo per candidate."""
+    for j1 in ls._scan_candidates(state):
+        if budget[0] <= 0:
+            break
+        d1 = state.delta_down(j1)
+        opened, undo = state.trial_flip_down(j1)
+        best = trial_best_swap_for(state, j1, d1, opened)
+        if best is not None and best[0] < -ls.gain_tol(state):
+            state._flip_up(best[1])
+            budget[0] -= 1
+            return True
+        state.undo_trial(undo)
+    return False
+
+
+def unbounded_swap_saturated(state, budget):
+    """The saturated-block pass that prices every saturated block."""
+    moved = False
+    while budget[0] > 0:
+        updated = False
+        for h in np.flatnonzero(state.blk == state.d):
+            if budget[0] <= 0:
+                break
+            members = state.inst.block_cols[h]
+            if state.x[members].all() or not state.x[members].any():
+                continue
+            j1, j2 = ls._block_argmin_pair(state, h)
+            if state.two_flip_delta(j1, j2) < -ls.gain_tol(state):
+                state._flip_down(j1)
+                state._flip_up(j2)
+                budget[0] -= 1
+                updated = moved = True
+        if not updated:
+            break
+    return moved
+
+
+def random_state(rng, inst=None, integer=False):
+    inst = random_instance(rng) if inst is None else inst
+    state = ls.SearchState(inst, random_weights(rng, inst, integer=integer),
+                           x0=random_gub_feasible(rng, inst))
+    if rng.integers(2):
+        state.scale_weights(float(rng.uniform(0.3, 0.99)))
+    return state
+
+
+def restricted_state(rng):
+    """A state on a restrict() sub-instance that has empty blocks."""
+    inst = random_instance(rng, n=int(rng.choice([12, 24, 36])))
+    fixed = np.flatnonzero(random_gub_feasible(rng, inst) & (rng.random(inst.n) < 0.5))
+    reduced = apply_fixing(inst, fixed)
+    core = reduced.free & (rng.random(inst.n) < 0.7)
+    core[inst.block_cols[int(rng.integers(inst.k))]] = False
+    sub, _ = reduced.restrict(core)
+    assert any(len(m) == 0 for m in sub.block_cols)
+    return random_state(rng, sub)
+
+
+def state_key(state):
+    return (state.x.tobytes(), state.s.tobytes(), state.dp_up.tobytes(),
+            state.dp_down.tobytes(), state.blk.tobytes(), state.cost,
+            state.viol, state.zhat)
+
+
+def test_closed_form_partner_equals_trial():
+    rng = np.random.default_rng(120)
+    own = reopened = compared = 0
+    for _ in range(300):
+        state = random_state(rng)
+        before = state_key(state)
+        for j1 in np.flatnonzero(state.x):
+            d1 = state.delta_down(j1)
+            got = ls._best_partner(state, j1, d1)
+            want, tol = trial_partner(state, j1)
+            assert got == want
+            assert tol == ls.gain_tol(state, state.zhat + d1)
+            compared += 1
+            if got is None:
+                continue
+            h1 = state.inst.block_of[j1]
+            own += got[1] == j1
+            reopened += (got[1] != j1 and state.inst.block_of[got[1]] == h1
+                         and state.blk[h1] == state.d[h1])
+        assert state_key(state) == before
+    assert compared > 1000 and own > 20 and reopened > 20
+
+
+def test_swap_scan_matches_trial_scan():
+    rng = np.random.default_rng(121)
+    moved = 0
+    for _ in range(200):
+        inst = random_instance(rng)
+        state = nb1_state(rng, inst, w=random_weights(rng, inst, integer=bool(rng.integers(2))))
+        if rng.integers(2):
+            state.scale_weights(float(rng.uniform(0.3, 0.99)))
+        ref = ls.SearchState(state.inst, state.w, x0=state.x)
+        ref.dp_up, ref.dp_down, ref.zhat = (state.dp_up.copy(), state.dp_down.copy(),
+                                            state.zhat)
+        budget, ref_budget = [5], [5]
+        got = ls._step_swap_scan(state, None, budget)
+        want = trial_swap_scan(ref, ref_budget)
+        assert got == want and budget == ref_budget
+        assert state_key(state) == state_key(ref)
+        moved += got
+    assert moved > 20
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_pair_bound_below_argmin_pair_gain(restricted):
+    rng = np.random.default_rng(122 + restricted)
+    checked = 0
+    for _ in range(300):
+        state = restricted_state(rng) if restricted else random_state(rng)
+        bound, margin = ls._pair_bounds(state)
+        assert np.all(margin >= 0)
+        for h, members in enumerate(state.inst.block_cols):
+            if state.x[members].all() or not state.x[members].any():
+                assert bound[h] == np.inf
+                continue
+            j1, j2 = ls._block_argmin_pair(state, h)
+            assert bound[h] <= state.two_flip_delta(j1, j2) + margin[h]
+            checked += state.blk[h] == state.d[h]
+    assert checked > 100
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_bounded_saturated_pass_matches_unbounded(restricted):
+    rng = np.random.default_rng(124 + restricted)
+    moved = 0
+    for _ in range(200):
+        state = restricted_state(rng) if restricted else random_state(
+            rng, integer=bool(rng.integers(2)))
+        ref = ls.SearchState(state.inst, state.w, x0=state.x)
+        ref.dp_up, ref.dp_down, ref.zhat = (state.dp_up.copy(), state.dp_down.copy(),
+                                            state.zhat)
+        cap = int(rng.integers(1, 6))
+        budget, ref_budget = [cap], [cap]
+        got = ls._step_swap_saturated(state, None, budget)
+        want = unbounded_swap_saturated(ref, ref_budget)
+        assert got == want and budget == ref_budget
+        assert state_key(state) == state_key(ref)
+        moved += got
+    assert moved > 20
