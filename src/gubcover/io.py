@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import itertools
 import json
 from dataclasses import asdict, dataclass
 
@@ -35,275 +36,240 @@ class FormatError(ValueError):
 _INT64 = np.iinfo(np.int64)
 
 
-class _Tokens:
-    """Whitespace token stream that tracks line numbers for error messages."""
-
-    def __init__(self, fh):
-        self._lines = enumerate(fh, start=1)
-        self._line_no = 0
-        self._buf = iter(())
-
-    def next_int(self, what, lo=None, hi=None):
-        tok = self._next(what)
-        try:
-            value = int(tok)
-        except ValueError:
-            raise FormatError(
-                f"line {self._line_no}: expected integer ({what}), got {tok!r}"
-            ) from None
-        if (value < _INT64.min or value > _INT64.max
-                or (lo is not None and value < lo) or (hi is not None and value > hi)):
-            raise FormatError(f"line {self._line_no}: {what} {value} out of range")
-        return value
-
-    def _next(self, what):
-        while True:
-            tok = next(self._buf, None)
-            if tok is not None:
-                return tok
-            nxt = next(self._lines, None)
-            if nxt is None:
-                raise FormatError(
-                    f"line {self._line_no}: unexpected end of file while reading {what}"
-                )
-            self._line_no, text = nxt
-            self._buf = iter(text.split())
-
-    def expect_eof(self):
-        tok = next(self._buf, None)
-        if tok is None:
-            for self._line_no, text in self._lines:
-                toks = text.split()
-                if toks:
-                    tok = toks[0]
-                    break
-        if tok is not None:
-            raise FormatError(f"line {self._line_no}: trailing data {tok!r}")
-
-
 def _open_text(path, mode="rt"):
     if str(path).endswith(".gz"):
         return gzip.open(path, mode)
     return open(path, mode.rstrip("t") or "r")
 
 
-# -- array readers ---------------------------------------------------------
+# -- readers ---------------------------------------------------------------
 #
-# Each reader parses the whole file into one int64 array and slices the
-# instance out of it.  Any inconsistency (a token that is not an int64, a
-# count or index out of range, a short or overlong file, a column in no or
-# several blocks) makes the array parser give up and return None; the
-# reader then walks the file token by token only to raise the located
-# FormatError.  The two follow the same grammar, so a file one accepts the
-# other accepts too.
+# Each reader parses the whole file into one int64 array, keeping the token
+# count of every line, and walks it with a _Cursor in file order.  Runs of
+# fields and the entries of each list are range-checked as whole arrays;
+# only list headers are visited one by one.  Any break raises the
+# FormatError of the first offending token in the file, on the line that
+# holds it.  The parsers return arrays that own their data, so the token
+# array is freed before the instance is built.
 
 _BATCH = 1 << 16  # tokens per numpy conversion
 
 
+def _is_int64(word):
+    try:
+        return _INT64.min <= int(word) <= _INT64.max
+    except ValueError:
+        return False
+
+
+def _as_int64(words):
+    """words as int64, cut before the first one that int() rejects or int64 cannot hold."""
+    try:
+        return np.array(words, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return np.array(list(itertools.takewhile(_is_int64, words)), dtype=np.int64)
+
+
 def _int_tokens(path):
-    """All whitespace tokens of the file as int64, or None if one is not.
+    """(tokens, ends): the file's whitespace tokens as int64, and ends[L] the
+    number of tokens on lines 1..L (ends[0] = 0).
 
     Lines are read in text mode and converted in batches of about _BATCH
     tokens, so every token is parsed as int() parses it and the strings of
-    the whole file never exist at once.
+    the whole file never exist at once.  Reading stops after the batch
+    holding the first token that is not an int64: tokens then ends just
+    before it, and ends[-1] > tokens.size.
     """
-    parts, batch = [], []
-    try:
-        with _open_text(path) as fh:
-            for line in fh:
-                batch += line.split()
-                if len(batch) >= _BATCH:
-                    parts.append(np.array(batch, dtype=np.int64))
-                    batch = []
-        parts.append(np.array(batch, dtype=np.int64))
-    except (ValueError, OverflowError):
-        return None
-    return np.concatenate(parts)
+    parts, counts, batch = [], [], []
+    with _open_text(path) as fh:
+        for line in fh:
+            before = len(batch)
+            batch += line.split()
+            counts.append(len(batch) - before)
+            if len(batch) >= _BATCH:
+                parts.append(_as_int64(batch))
+                if parts[-1].size < len(batch):
+                    break
+                batch = []
+        else:
+            parts.append(_as_int64(batch))
+    return np.concatenate(parts), np.cumsum([0] + counts, dtype=np.int64)
 
 
-def _lists(tok, pos, count, head, lo, hi, top):
-    """Walk count lists starting at tok[pos]; None if they do not fit.
+def _first_bad(values, lo, hi):
+    """Index of the first value outside [lo, hi] (no upper end if hi is None),
+    or values.size if there is none."""
+    if values.size == 0 or (values.min() >= lo and (hi is None or values.max() <= hi)):
+        return values.size
+    bad = values < lo
+    if hi is not None:
+        bad |= values > hi
+    return int(np.argmax(bad))
 
-    Each list is `head` header tokens, the last of them its length in
-    [lo, hi], then that many entries, each in [1, top].  Returns (starts,
-    owner, entries, end): the position of each list's first header token,
-    the list of each entry, the entries 0-based as int32, and the position
-    after the last list.  Only the headers are visited one by one.
+
+class _Cursor:
+    """The token array of one file, read field by field in file order.
+
+    A field is named by a format string that takes its 1-based index, such
+    as "cost of column {}".
     """
-    total, first = tok.size, pos
-    if count > (total - pos) // head:
-        return None
-    starts, lengths = [], []
-    for _ in range(count):
-        length = tok.item(pos + head - 1) if pos + head <= total else -1
-        if length < lo or length > hi:
-            return None
-        starts.append(pos)
-        lengths.append(length)
-        pos += head + length
-    if pos > total:
-        return None
-    starts = np.asarray(starts, dtype=np.int64)
-    entry = np.ones(pos - first, dtype=bool)
-    for w in range(head):
-        entry[starts - first + w] = False
-    entries = tok[first:pos][entry]
-    if entries.size and (entries.min() < 1 or entries.max() > top):
-        return None
-    entries = entries.astype(np.int32)
-    entries -= 1
-    owner = np.repeat(np.arange(count, dtype=np.int32), lengths)
-    return starts, owner, entries, pos
+
+    def __init__(self, path):
+        self.path = path
+        self.tok, self.ends = _int_tokens(path)
+        self.size = self.tok.size
+        self.pos = 0
+
+    def run(self, count, what, lo, hi=None):
+        """The next count fields, each in [lo, hi]."""
+        values = self.tok[self.pos:self.pos + count]
+        at = _first_bad(values, lo, hi)
+        if at < count:
+            self._fail(self.pos + at, what.format(at + 1))
+        self.pos += count
+        return values
+
+    def lists(self, count, head, entry, top):
+        """The next count lists: the header fields in head, then the entries.
+
+        head holds (what, lo, hi) per header field, the last one the list's
+        length; each entry is in [1, top].  Returns (fields, owner, entries):
+        one array per header field but the length, the list of each entry,
+        and the entries 0-based as int32.
+        """
+        tok, first, width = self.tok, self.pos, len(head)
+        starts, lengths, pos = [], [], first
+        while len(starts) < count and pos + width <= self.size:
+            length = tok.item(pos + width - 1)
+            if not head[-1][1] <= length <= head[-1][2]:
+                break
+            starts.append(pos)
+            lengths.append(length)
+            pos += width + length
+        if len(starts) == count and pos <= self.size:
+            heads = np.asarray(starts, dtype=np.int64)
+            is_entry = np.ones(pos - first, dtype=bool)
+            for w in range(width):
+                is_entry[heads + (w - first)] = False
+            entries = tok[first:pos][is_entry]
+            fields = [tok[heads + w] for w in range(width - 1)]
+            if _first_bad(entries, 1, top) == entries.size and all(
+                    _first_bad(f, lo, hi) == f.size for f, (_, lo, hi) in zip(fields, head)):
+                entries = entries.astype(np.int32)
+                entries -= 1
+                self.pos = pos
+                return fields, np.repeat(np.arange(count, dtype=np.int32), lengths), entries
+        # some field breaks: read again one list at a time, so that run()
+        # raises for the first offending token
+        for h in range(count):
+            for what, lo, hi in head:
+                length = self.run(1, what.format(h + 1), lo, hi).item()
+            self.run(length, entry.format(h + 1), 1, top)
+        raise AssertionError("a list field broke, but no token offends")
+
+    def end(self):
+        """Raise if any token follows the fields read."""
+        if self.pos < self.ends[-1]:
+            raise FormatError(
+                f"line {self._line(self.pos)}: trailing data {self._word(self.pos)!r}")
+
+    def _line(self, at):
+        return int(np.searchsorted(self.ends, at, side="right"))
+
+    def _word(self, at):
+        """The text of token at, read again from the file."""
+        line = self._line(at)
+        with _open_text(self.path) as fh:
+            text = next(itertools.islice(fh, line - 1, None))
+        return text.split()[at - self.ends[line - 1]]
+
+    def _fail(self, at, what):
+        """Raise for the field what at token at, which is out of range, not
+        an int64, or past the end of the file."""
+        if at == self.ends[-1]:
+            raise FormatError(
+                f"line {self.ends.size - 1}: unexpected end of file while reading {what}")
+        if at < self.size:
+            value = self.tok.item(at)
+        else:
+            word = self._word(at)
+            try:
+                value = int(word)
+            except ValueError:
+                raise FormatError(
+                    f"line {self._line(at)}: expected integer ({what}), got {word!r}") from None
+        raise FormatError(f"line {self._line(at)}: {what} {value} out of range")
 
 
-def _parse_gub(tok):
-    if tok.size < 3:
-        return None
-    m, n, k = tok[:3].tolist()
-    if m < 1 or n < 1 or k < 1 or tok.size < 3 + n + m:
-        return None
-    cost, demand = tok[3:3 + n], tok[3 + n:3 + n + m]
-    cover = _lists(tok, 3 + n + m, m, 1, 0, n, n)
-    if cover is None or cost.min() < 1 or demand.min() < 0:
-        return None
-    _, rows, cols, end = cover
-    blocks = _lists(tok, end, k, 2, 1, n, n)
-    if blocks is None or blocks[3] != tok.size:
-        return None
-    starts, block_ids, members, _ = blocks
-    cap = tok[starts]
-    if cap.min() < 0:
-        return None
+def _parse_gub(cur):
+    m = cur.run(1, "row count", 1).item()
+    n = cur.run(1, "column count", 1).item()
+    k = cur.run(1, "block count", 1).item()
+    cost = cur.run(n, "cost of column {}", 1)
+    demand = cur.run(m, "demand of row {}", 0)
+    _, rows, cols = cur.lists(m, [("cover count of row {}", 0, n)],
+                              "covering column of row {}", n)
+    (cap,), block_ids, members = cur.lists(
+        k, [("cap of block {}", 0, None), ("size of block {}", 1, n)], "member of block {}", n)
+    cur.end()
     # each column in exactly one block; a repeat inside one block is allowed
     distinct = np.unique(block_ids.astype(np.int64) * n + members)
-    if np.any(np.bincount(distinct % n, minlength=n) != 1):
-        return None
+    seen = np.bincount(distinct % n, minlength=n)
+    if np.any(seen != 1):
+        j = int(np.argmax(seen != 1))
+        raise FormatError(f"column {j + 1} appears in {seen[j]} blocks")
     return cost.copy(), demand.copy(), rows, cols, cap, block_ids, members
 
 
-def _singleton_blocks(n):
-    return np.ones(n, dtype=np.int64), np.arange(n), np.arange(n)
+def _parse_orlib(cur):
+    m = cur.run(1, "row count", 1).item()
+    n = cur.run(1, "column count", 1).item()
+    cost = cur.run(n, "cost of column {}", 1)
+    _, rows, cols = cur.lists(m, [("cover count of row {}", 0, n)],
+                              "covering column of row {}", n)
+    cur.end()
+    return cost.copy(), m, rows, cols
 
 
-def _parse_orlib(tok):
-    if tok.size < 2:
-        return None
-    m, n = tok[:2].tolist()
-    if m < 1 or n < 1 or tok.size < 2 + n:
-        return None
-    cost = tok[2:2 + n]
-    cover = _lists(tok, 2 + n, m, 1, 0, n, n)
-    if cover is None or cover[3] != tok.size or cost.min() < 1:
-        return None
-    _, rows, cols, _ = cover
-    return (cost.copy(), np.ones(m, dtype=np.int64), rows, cols,
-            *_singleton_blocks(n))
+def _parse_rail(cur):
+    m = cur.run(1, "row count", 1).item()
+    n = cur.run(1, "column count", 1).item()
+    (cost,), cols, rows = cur.lists(
+        n, [("cost of column {}", 1, None), ("row count of column {}", 1, m)],
+        "covered row of column {}", m)
+    cur.end()
+    return cost, m, rows, cols
 
 
-def _parse_rail(tok):
-    if tok.size < 2:
-        return None
-    m, n = tok[:2].tolist()
-    if m < 1 or n < 1:
-        return None
-    columns = _lists(tok, 2, n, 2, 1, m, m)
-    if columns is None or columns[3] != tok.size:
-        return None
-    starts, cols, rows, _ = columns
-    cost = tok[starts]
-    if cost.min() < 1:
-        return None
-    return cost, np.ones(m, dtype=np.int64), rows, cols, *_singleton_blocks(n)
-
-
-def _read(path, parse, walk) -> Instance:
-    tok = _int_tokens(path)
-    parts = None if tok is None else parse(tok)
-    del tok  # the parts own their data; free the token array before building
-    if parts is None:
-        with _open_text(path) as fh:
-            walk(_Tokens(fh))
-        raise RuntimeError(f"{path}: array reader rejected a file the token walk accepts")
-    return Instance.from_entries(*parts)
-
-
-# -- token walks: the located error messages ---------------------------------
-
-
-def _walk_gub(t):
-    m = t.next_int("row count", lo=1)
-    n = t.next_int("column count", lo=1)
-    k = t.next_int("block count", lo=1)
-    for j in range(n):
-        t.next_int(f"cost of column {j + 1}", lo=1)
-    for i in range(m):
-        t.next_int(f"demand of row {i + 1}", lo=0)
-    for i in range(m):
-        cnt = t.next_int(f"cover count of row {i + 1}", lo=0, hi=n)
-        for _ in range(cnt):
-            t.next_int(f"covering column of row {i + 1}", lo=1, hi=n)
-    seen = np.zeros(n, dtype=np.int64)
-    for h in range(k):
-        t.next_int(f"cap of block {h + 1}", lo=0)
-        size = t.next_int(f"size of block {h + 1}", lo=1, hi=n)
-        members = [
-            t.next_int(f"member of block {h + 1}", lo=1, hi=n) - 1
-            for _ in range(size)
-        ]
-        seen[members] += 1
-    t.expect_eof()
-    if np.any(seen != 1):
-        j = int(np.flatnonzero(seen != 1)[0])
-        raise FormatError(f"column {j + 1} appears in {seen[j]} blocks")
-
-
-def _walk_orlib(t):
-    m = t.next_int("row count", lo=1)
-    n = t.next_int("column count", lo=1)
-    for j in range(n):
-        t.next_int(f"cost of column {j + 1}", lo=1)
-    for i in range(m):
-        cnt = t.next_int(f"cover count of row {i + 1}", lo=0, hi=n)
-        for _ in range(cnt):
-            t.next_int(f"covering column of row {i + 1}", lo=1, hi=n)
-    t.expect_eof()
-
-
-def _walk_rail(t):
-    m = t.next_int("row count", lo=1)
-    n = t.next_int("column count", lo=1)
-    for j in range(n):
-        t.next_int(f"cost of column {j + 1}", lo=1)
-        cnt = t.next_int(f"row count of column {j + 1}", lo=1, hi=m)
-        for _ in range(cnt):
-            t.next_int(f"covered row of column {j + 1}", lo=1, hi=m)
-    t.expect_eof()
+def _scp_instance(cost, m, rows, cols) -> Instance:
+    """Set covering: every demand 1, every column its own block with cap 1."""
+    n = cost.size
+    return Instance.from_entries(cost, np.ones(m, dtype=np.int64), rows, cols,
+                                 np.ones(n, dtype=np.int64), np.arange(n), np.arange(n))
 
 
 def read_gub(path) -> Instance:
     """Read a native .gub file (see the module docstring); FormatError if malformed."""
-    return _read(path, _parse_gub, _walk_gub)
+    return Instance.from_entries(*_parse_gub(_Cursor(path)))
 
 
 def read_orlib_scp(path) -> Instance:
     """Read an OR-Library set covering file; FormatError if malformed."""
-    return _read(path, _parse_orlib, _walk_orlib)
+    return _scp_instance(*_parse_orlib(_Cursor(path)))
 
 
 def read_rail(path) -> Instance:
     """Read a column-major RAIL file; FormatError if malformed."""
-    return _read(path, _parse_rail, _walk_rail)
+    return _scp_instance(*_parse_rail(_Cursor(path)))
 
 
 _READERS = {"gub": read_gub, "orlib": read_orlib_scp, "rail": read_rail}
 
 
 def read_instance(path, fmt="gub") -> Instance:
-    try:
-        reader = _READERS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}") from None
-    return reader(path)
+    if fmt not in _READERS:
+        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    return _READERS[fmt](path)
 
 
 def write_gub(inst: Instance, path):
@@ -335,7 +301,7 @@ def parse_solution(path) -> np.ndarray:
             value = int(tok)
         except ValueError:
             raise FormatError(f"token {pos}: expected column index, got {tok!r}") from None
-        if value < 1:
+        if not 1 <= value <= _INT64.max:
             raise FormatError(f"token {pos}: column index {value} out of range")
         out.append(value - 1)
     return np.asarray(sorted(set(out)), dtype=np.int64)

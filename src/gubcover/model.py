@@ -40,15 +40,6 @@ class Csr:
         self.ind = _frozen(np.asarray(ind, dtype=np.int32))
 
     @classmethod
-    def pack(cls, lists) -> Csr:
-        """Pack the given index lists as they are, in order."""
-        arrays = [np.asarray(a, dtype=np.int32) for a in lists]
-        ptr = np.zeros(len(arrays) + 1, dtype=np.int64)
-        np.cumsum([a.size for a in arrays], out=ptr[1:])
-        ind = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int32)
-        return cls(ptr, ind)
-
-    @classmethod
     def group(cls, owner, member, count, size) -> Csr:
         """count lists from (owner, member) pairs given in any order.
 
@@ -105,8 +96,8 @@ class Instance:
     Construction normally goes through :meth:`from_entries`, or
     :meth:`from_columns` on top of it, which sort and deduplicate every
     list and derive the transpose and the block lookup.  The raw
-    constructor packs whatever lists (or Csr buffers) it is given, so that
-    validate() can be exercised on broken data.
+    constructor takes the three Csr buffers and block_of as they are,
+    unchecked; validate() reports what is wrong with them.
 
     Attributes
     ----------
@@ -125,15 +116,15 @@ class Instance:
         together; a sub-instance of a reduced problem keeps its parent's.
     """
 
-    def __init__(self, cost, demand, col_rows, row_cols, cap, block_cols, block_of,
-                 wbar=None):
+    def __init__(self, cost, demand, col_csr: Csr, row_csr: Csr, cap, block_csr: Csr,
+                 block_of, wbar=None):
         self.cost = _frozen(np.asarray(cost, dtype=np.int64))
         self.demand = _frozen(np.asarray(demand, dtype=np.int64))
         self.cap = _frozen(np.asarray(cap, dtype=np.int64))
         self.block_of = _frozen(np.asarray(block_of, dtype=np.int64))
-        self.col_csr = _as_csr(col_rows)
-        self.row_csr = _as_csr(row_cols)
-        self.block_csr = _as_csr(block_cols)
+        self.col_csr = col_csr
+        self.row_csr = row_csr
+        self.block_csr = block_csr
         self.col_rows = self.col_csr.views()
         self.row_cols = self.row_csr.views()
         self.block_cols = self.block_csr.views()
@@ -230,10 +221,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = a.copy() if not a.flags.owndata else a
     a.flags.writeable = False
     return a
-
-
-def _as_csr(lists) -> Csr:
-    return lists if isinstance(lists, Csr) else Csr.pack(lists)
 
 
 def _flat(lists) -> np.ndarray:

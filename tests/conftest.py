@@ -10,8 +10,10 @@ make an instance infeasible, which several tests rely on.
 import numpy as np
 import pytest
 
-from gubcover import localsearch
+from gubcover import driver, localsearch, model
 from gubcover.model import Instance
+
+import oracle
 
 
 def build_t1() -> Instance:
@@ -30,6 +32,25 @@ def build_t1() -> Instance:
 @pytest.fixture
 def t1() -> Instance:
     return build_t1()
+
+
+def solve_checked(inst, cfg):
+    """driver.solve, with its result recounted by tests/oracle.py.
+
+    The caps hold, objective is the cost sum of the selection, feasible
+    matches the coverage recount, penalized is the oracle's value under the
+    initial weights, and the timeline ends at penalized.
+    """
+    res = driver.solve(inst, cfg)
+    x = model.as_bool(inst.n, res.selected)
+    s, blk = oracle.recount(inst, x)
+    assert np.all(blk <= inst.cap)
+    assert res.objective == int(inst.cost[x].sum())
+    assert res.feasible == bool(np.all(s >= inst.demand))
+    want = oracle.penalized_value(inst, x, model.initial_weights(inst))
+    assert res.penalized == pytest.approx(want, rel=1e-9)
+    assert res.timeline[-1][1] == res.penalized
+    return res
 
 
 def random_instance(rng, m=None, n=None, density=0.3, bmax=3, cost_hi=20):

@@ -95,21 +95,21 @@ def brute_force_lr(inst, u):
     return x, best_val + offset
 
 
-def _counts(inst, x, demand, cap):
-    b = np.asarray(inst.demand if demand is None else demand, dtype=np.int64)
-    d = np.asarray(inst.cap if cap is None else cap, dtype=np.int64)
+def recount(inst, x):
+    """(s, blk): selected columns per row and per block, counted one by one."""
     s = np.zeros(inst.m, dtype=np.int64)
     blk = np.zeros(inst.k, dtype=np.int64)
     for j in np.flatnonzero(x):
         s[inst.col_rows[j]] += 1
         blk[inst.block_of[j]] += 1
-    return b, d, s, blk
+    return s, blk
 
 
-def penalized_value(inst, x, w, demand=None):
+def penalized_value(inst, x, w):
     """Direct evaluation of cost plus weighted shortfall."""
     x = np.asarray(x, dtype=bool)
-    b, _, s, _ = _counts(inst, x, demand, None)
+    b = inst.demand
+    s, _ = recount(inst, x)
     w = np.asarray(w, dtype=float)
     val = float(inst.cost[x].sum())
     for i in range(inst.m):
@@ -118,10 +118,11 @@ def penalized_value(inst, x, w, demand=None):
     return val
 
 
-def one_flip_delta(inst, x, w, j, demand=None):
+def one_flip_delta(inst, x, w, j):
     """Penalized-value change of flipping column j, by local recount."""
     x = np.asarray(x, dtype=bool)
-    b, _, s, _ = _counts(inst, x, demand, None)
+    b = inst.demand
+    s, _ = recount(inst, x)
     w = np.asarray(w, dtype=float)
     sign = -1 if x[j] else 1
     delta = float(sign * inst.cost[j])
@@ -133,14 +134,15 @@ def one_flip_delta(inst, x, w, j, demand=None):
     return delta
 
 
-def delta_tables(inst, x, w, demand=None):
+def delta_tables(inst, x, w):
     """Per-column shortfall-weight sums, straight from the definitions.
 
     Returns (up, down): up[j] sums w_i over covered rows still short of
     demand, down[j] over covered rows at or below demand.
     """
     x = np.asarray(x, dtype=bool)
-    b, _, s, _ = _counts(inst, x, demand, None)
+    b = inst.demand
+    s, _ = recount(inst, x)
     w = np.asarray(w, dtype=float)
     up = np.zeros(inst.n)
     down = np.zeros(inst.n)
@@ -154,10 +156,11 @@ def delta_tables(inst, x, w, demand=None):
     return up, down
 
 
-def two_flip_delta(inst, x, w, j1, j2, demand=None):
+def two_flip_delta(inst, x, w, j1, j2):
     """Penalized-value change of flipping both j1 and j2 (any statuses)."""
     x = np.asarray(x, dtype=bool)
-    b, _, s, _ = _counts(inst, x, demand, None)
+    b = inst.demand
+    s, _ = recount(inst, x)
     w = np.asarray(w, dtype=float)
     signs = {j1: -1 if x[j1] else 1, j2: -1 if x[j2] else 1}
     delta = float(signs[j1] * inst.cost[j1] + signs[j2] * inst.cost[j2])
@@ -174,7 +177,7 @@ def two_flip_delta(inst, x, w, j1, j2, demand=None):
     return delta
 
 
-def exhaustive_2flip_scan(inst, x, w, demand=None, cap=None):
+def exhaustive_2flip_scan(inst, x, w):
     """Best improving two-column flip by unpruned pair enumeration.
 
     Considers every unordered pair regardless of selection status, keeps
@@ -183,7 +186,8 @@ def exhaustive_2flip_scan(inst, x, w, demand=None, cap=None):
     lexicographically on (delta, j1, j2).
     """
     x = np.asarray(x, dtype=bool)
-    b, d, s, blk = _counts(inst, x, demand, cap)
+    b, d = inst.demand, inst.cap
+    s, blk = recount(inst, x)
     w = np.asarray(w, dtype=float)
     rows = [set(int(i) for i in inst.col_rows[j]) for j in range(inst.n)]
     best = None

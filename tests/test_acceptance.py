@@ -20,7 +20,7 @@ import pytest
 
 from gubcover import cli, localsearch, relaxation
 from gubcover import io as gio
-from gubcover.driver import SolverConfig, solve
+from gubcover.driver import SolverConfig
 from gubcover.model import Instance
 
 import oracle
@@ -32,6 +32,7 @@ from conftest import (
     random_gub_feasible,
     random_instance,
     random_weights,
+    solve_checked,
     solver_pair_move,
 )
 
@@ -178,15 +179,15 @@ def test_criterion_05_small_instance_optimality():
             inst = random_instance(rng, m=int(rng.integers(4, 11)),
                                    n=int(rng.integers(8, 17)))
             _, opt = oracle.brute_force_optimum(inst)
-        res = solve(inst, SolverConfig(score="pseudo", time_limit=2.0,
-                                       seed=seed, target=float(opt)))
+        res = solve_checked(inst, SolverConfig(score="pseudo", time_limit=2.0,
+                                               seed=seed, target=float(opt)))
         hits += int(res.feasible and res.objective == opt)
 
     t1 = build_t1()
     t1_hits = 0
     for seed in range(50):
-        res = solve(t1, SolverConfig(score="pseudo", time_limit=2.0,
-                                     seed=seed, target=8.0))
+        res = solve_checked(t1, SolverConfig(score="pseudo", time_limit=2.0,
+                                             seed=seed, target=8.0))
         t1_hits += int(res.feasible and res.objective == 8)
 
     ok = hits >= 45 and t1_hits == 50
@@ -234,8 +235,8 @@ def test_criterion_06_infeasibility_signal():
         inst = _conflict_instance(rng)
         x, opt = oracle.brute_force_optimum(inst)
         assert x is None and opt is None
-        res = solve(inst, SolverConfig(score="pseudo", time_limit=2.0,
-                                       seed=0, max_iterations=25))
+        res = solve_checked(inst, SolverConfig(score="pseudo", time_limit=2.0,
+                                               seed=0, max_iterations=25))
         assert not res.feasible
         assert res.penalized > res.cost_sum
         flagged += int(res.infeasibility_signal)
@@ -261,7 +262,7 @@ def test_criterion_07_benchmark_reproduction():
         values = []
         for index in range(count):
             inst = _benchmark_instance(index)
-            res = solve(inst, SolverConfig(score=scheme, time_limit=budget, seed=0))
+            res = solve_checked(inst, SolverConfig(score=scheme, time_limit=budget, seed=0))
             assert res.feasible
             values.append(res.objective)
         averages[scheme] = float(np.mean(values))
@@ -290,8 +291,8 @@ def _scp_runs(directory, budget, max_iterations=None):
     values, bounds = [], []
     for path in paths:
         inst = gio.read_orlib_scp(path)
-        res = solve(inst, SolverConfig(score="pseudo", time_limit=budget, seed=0,
-                                       max_iterations=max_iterations))
+        res = solve_checked(inst, SolverConfig(score="pseudo", time_limit=budget, seed=0,
+                                               max_iterations=max_iterations))
         assert res.feasible
         values.append(res.objective)
         bounds.append(res.lower_bound)
@@ -312,7 +313,7 @@ def test_criterion_08_code_path_offline(tmp_path):
 def test_criterion_09_core_size():
     """Core problems stay a small fraction of the full column set."""
     inst = _benchmark_instance(0)
-    res = solve(inst, SolverConfig(score="pseudo", time_limit=25.0, seed=0))
+    res = solve_checked(inst, SolverConfig(score="pseudo", time_limit=25.0, seed=0))
     assert res.core_fractions
     avg = float(np.mean(res.core_fractions))
     _report(9, "core size", 0.05 <= avg <= 0.45,
@@ -326,8 +327,8 @@ def test_criterion_10_determinism(tmp_path):
                                  block_size=8, cap=2, seed=3)
     inst, _ = gio.generate(params)
     cfg = SolverConfig(score="pseudo", time_limit=30.0, seed=11, max_iterations=12)
-    first = solve(inst, cfg)
-    second = solve(inst, cfg)
+    first = solve_checked(inst, cfg)
+    second = solve_checked(inst, cfg)
     trace = lambda r: [(it, val) for it, val, _ in r.timeline]
     same_run = (trace(first) == trace(second)
                 and first.objective == second.objective

@@ -163,6 +163,15 @@ def test_check_rejects_out_of_range(t1_file, tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_check_rejects_index_beyond_int64(t1_file, tmp_path, capsys):
+    sol = tmp_path / "sol.txt"
+    sol.write_text("1 99999999999999999999\n")
+    rc = cli.main(["check", "--instance", t1_file, "--solution", str(sol)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: token 2: column index 99999999999999999999 out of range")
+
+
 def test_check_expect_mismatch(t1_file, tmp_path, capsys):
     sol = tmp_path / "sol.txt"
     sol.write_text("2 3\n")

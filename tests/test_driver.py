@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from gubcover import driver, model
+from gubcover import model
 from gubcover import io as gio
 from gubcover.driver import SolverConfig
 from gubcover.model import Instance, as_bool
 from gubcover.relaxation import SubgradientParams
 
 import oracle
-from conftest import random_instance
+from conftest import random_instance, solve_checked
 
 
 def quick(score="pseudo", **kw):
@@ -22,7 +22,7 @@ def quick(score="pseudo", **kw):
 
 def test_t1_every_scheme_finds_optimum(t1):
     for score in ("pseudo", "lagrangian", "normalized", "none"):
-        res = driver.solve(t1, quick(score))
+        res = solve_checked(t1, quick(score))
         assert res.objective == 8, score
         assert res.feasible
         assert sorted(res.selected) == [1, 2]
@@ -30,7 +30,7 @@ def test_t1_every_scheme_finds_optimum(t1):
 
 
 def test_reported_objective_revalidates(t1):
-    res = driver.solve(t1, quick())
+    res = solve_checked(t1, quick())
     x = as_bool(t1.n, res.selected)
     assert model.objective(t1, x) == res.objective
     assert model.is_feasible(t1, x) == res.feasible
@@ -39,7 +39,7 @@ def test_reported_objective_revalidates(t1):
 def test_infeasible_demand_sets_signal():
     inst = Instance.from_columns([4, 3, 5, 1], [[0, 1], [1, 2], [0, 2], [2]],
                                  [1, 1, 4], [(1, [0, 1]), (2, [2, 3])])
-    res = driver.solve(inst, quick(max_iterations=2))
+    res = solve_checked(inst, quick(max_iterations=2))
     assert not res.feasible
     assert res.infeasibility_signal
     assert res.penalized > res.cost_sum
@@ -49,37 +49,37 @@ def test_infeasible_caps_set_signal():
     # the only two columns covering the row share a cap-1 block
     inst = Instance.from_columns([2, 3, 4], [[0], [0], [1]], [2, 1],
                                  [(1, [0, 1]), (1, [2])])
-    res = driver.solve(inst, quick(max_iterations=2))
+    res = solve_checked(inst, quick(max_iterations=2))
     assert res.infeasibility_signal
 
 
 def test_score_none_skips_reduction(t1):
-    res = driver.solve(t1, quick("none"))
+    res = solve_checked(t1, quick("none"))
     assert res.core_fractions == []
     assert res.objective == 8
 
 
 def test_reduction_schemes_track_core_sizes(t1):
-    res = driver.solve(t1, quick("pseudo"))
+    res = solve_checked(t1, quick("pseudo"))
     assert len(res.core_fractions) >= 1
     assert all(0 < f <= 1 for f in res.core_fractions)
 
 
 def test_bound_below_objective_when_feasible(t1):
-    res = driver.solve(t1, quick())
+    res = solve_checked(t1, quick())
     assert res.lower_bound is not None
     assert res.lower_bound <= res.objective + 1e-9
 
 
 def test_compute_bound_off(t1):
-    res = driver.solve(t1, quick(compute_bound=False))
+    res = solve_checked(t1, quick(compute_bound=False))
     assert res.lower_bound is None
     assert res.objective == 8
 
 
 def test_determinism_same_seed(t1):
-    a = driver.solve(t1, quick(max_iterations=5))
-    b = driver.solve(t1, quick(max_iterations=5))
+    a = solve_checked(t1, quick(max_iterations=5))
+    b = solve_checked(t1, quick(max_iterations=5))
     assert a.objective == b.objective
     assert a.selected == b.selected
     assert [(it, val) for it, val, _ in a.timeline] == \
@@ -90,8 +90,8 @@ def test_determinism_on_random_instance():
     rng = np.random.default_rng(71)
     inst = random_instance(rng, m=15, n=40)
     cfg = SolverConfig(seed=7, time_limit=10.0, max_iterations=4)
-    a = driver.solve(inst, cfg)
-    b = driver.solve(inst, cfg)
+    a = solve_checked(inst, cfg)
+    b = solve_checked(inst, cfg)
     assert a.selected == b.selected
     assert [(it, val) for it, val, _ in a.timeline] == \
            [(it, val) for it, val, _ in b.timeline]
@@ -100,7 +100,7 @@ def test_determinism_on_random_instance():
 def test_seeds_differ():
     rng = np.random.default_rng(72)
     inst = random_instance(rng, m=15, n=40)
-    runs = {tuple(driver.solve(inst, SolverConfig(
+    runs = {tuple(solve_checked(inst, SolverConfig(
         seed=s, time_limit=10.0, max_iterations=2)).selected)
         for s in range(6)}
     # not a hard guarantee, but six seeds agreeing on every intermediate
@@ -111,18 +111,18 @@ def test_seeds_differ():
 def test_ablation_switches_still_solve(t1):
     for kw in ({"neighborhood": "1flip"}, {"path_relinking": False},
                {"greedy": "uniform"}):
-        res = driver.solve(t1, quick(**kw))
+        res = solve_checked(t1, quick(**kw))
         assert res.objective == 8, kw
 
 
 def test_target_stops_early(t1):
-    res = driver.solve(t1, quick(target=8, max_iterations=None))
+    res = solve_checked(t1, quick(target=8, max_iterations=None))
     assert res.objective == 8
     assert res.iterations <= 2
 
 
 def test_timeline_is_monotone(t1):
-    res = driver.solve(t1, quick(max_iterations=5))
+    res = solve_checked(t1, quick(max_iterations=5))
     values = [val for _, val, _ in res.timeline]
     assert values == sorted(values, reverse=True)
     assert values[-1] == res.penalized
@@ -130,7 +130,7 @@ def test_timeline_is_monotone(t1):
 
 def test_result_metadata(t1):
     cfg = quick()
-    res = driver.solve(t1, cfg)
+    res = solve_checked(t1, cfg)
     assert res.seed == 42
     assert res.config["score"] == "pseudo"
     assert res.instance["m"] == 3
@@ -149,7 +149,7 @@ def test_small_random_instances_reach_optimum():
         if x_opt is None:
             continue
         total += 1
-        res = driver.solve(inst, SolverConfig(
+        res = solve_checked(inst, SolverConfig(
             seed=1, time_limit=2.0, target=float(z_opt)))
         assert res.feasible
         assert res.objective >= z_opt
@@ -241,8 +241,8 @@ PINNED = {
 def test_pinned_runs(score, seed):
     inst, _ = gio.generate(gio.GeneratorParams(rows=60, cols=300, density=0.1,
                                                block_size=10, cap=3, seed=5))
-    res = driver.solve(inst, SolverConfig(score=score, seed=seed, max_iterations=4,
-                                          time_limit=1e6, window=10))
+    res = solve_checked(inst, SolverConfig(score=score, seed=seed, max_iterations=4,
+                                                  time_limit=1e6, window=10))
     want = PINNED[(score, seed)]
     assert res.objective == want["objective"]
     assert res.lower_bound == want["lower_bound"]

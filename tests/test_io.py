@@ -10,6 +10,7 @@ from gubcover import model
 from gubcover.io import FormatError, GeneratorParams
 from gubcover.model import Instance
 
+import reader_reference
 from conftest import build_t1, random_instance
 
 T1_ORLIB = """\
@@ -381,8 +382,11 @@ def _mutate(toks, kind, at):
         return words[:at % len(words)]
     if kind == "trailing":
         return words + ["1"] * (1 + at % 3)
+    if kind == "padded_tail":
+        return words + ["+07"]
     bad = {"word": "x", "decimal": "1.5", "negative": "-1",
-           "digits20": "99999999999999999999"}[kind]
+           "digits20": "99999999999999999999", "zero": "0",
+           "oversized": str(np.iinfo(np.int64).max), "padded": "+07"}[kind]
     words[at % len(words)] = bad
     return words
 
@@ -398,3 +402,69 @@ def test_malformed_tokens_raise_format_error(tmp_path, fmt, data):
     path.write_text(" ".join(words) + "\n")
     with pytest.raises(FormatError, match=r"^(line \d+: |column \d+ appears)"):
         gio.read_instance(path, fmt)
+
+
+# -- the array readers against the token-by-token reference walk -------------
+
+# a valid count as large as int64 allows, and a non-canonical integer that
+# only reads back as written when the error quotes the file's own text
+DIFF_MUTATIONS = MUTATIONS + ("zero", "oversized", "padded", "padded_tail")
+TAILS = ("", "\n", "\n\n", "  \n", " \t\n\n", "   ")
+
+
+# The grammar alone: building a huge accepted instance (a rail file may
+# declare any row count) is not the walk's business.
+PARSERS = {"gub": gio._parse_gub, "orlib": gio._parse_orlib, "rail": gio._parse_rail}
+
+
+def _outcome(check, *args):
+    """The FormatError message check raises, or None if it accepts."""
+    try:
+        check(*args)
+    except FormatError as err:
+        return str(err)
+    return None
+
+
+def _parse(path, fmt):
+    PARSERS[fmt](gio._Cursor(path))
+
+
+@pytest.mark.parametrize("fmt", gio.FORMATS)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reader_errors_match_reference_walk(tmp_path, fmt, data):
+    toks, _ = data.draw(raw_files(fmt))
+    words = [str(t) for t in toks]
+    for _ in range(data.draw(st.integers(1, 3))):
+        if words:
+            words = _mutate(words, data.draw(st.sampled_from(DIFF_MUTATIONS)),
+                            data.draw(st.integers(0, 10**6)))
+    for at in sorted(data.draw(st.lists(st.integers(1, max(1, len(words) - 1)), max_size=8)),
+                     reverse=True):
+        words.insert(at, "\n")
+    text = " ".join(words) + "\n" + data.draw(st.sampled_from(TAILS))
+    path = tmp_path / ("f" + SUFFIX[fmt])
+    path.write_text(text)
+    want = _outcome(reader_reference.check_file, path, fmt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gio, "_BATCH", data.draw(st.sampled_from([1, 2, 5, 1 << 16])))
+        assert _outcome(_parse, path, fmt) == want
+
+
+@pytest.mark.parametrize("fmt", gio.FORMATS)
+@pytest.mark.parametrize("text", ["", "\n \n", "3", "1 x\n", "2 2\n1 1.5\n"])
+def test_reader_short_files_match_reference_walk(tmp_path, fmt, text):
+    path = tmp_path / ("short" + SUFFIX[fmt] + ".gz")
+    with gzip.open(path, "wt") as fh:
+        fh.write(text)
+    assert _outcome(_parse, path, fmt) == _outcome(reader_reference.check_file, path, fmt)
+
+
+def test_parse_solution_index_beyond_int64(tmp_path):
+    path = tmp_path / "sol.txt"
+    path.write_text("1 99999999999999999999\n")
+    with pytest.raises(FormatError,
+                       match="^token 2: column index 99999999999999999999 out of range$"):
+        gio.parse_solution(path)

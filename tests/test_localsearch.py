@@ -186,8 +186,7 @@ def test_two_fnls_leaves_no_improving_pair():
         w = random_weights(rng, inst)
         state = ls.SearchState(inst, w, x0=random_gub_feasible(rng, inst))
         ls.two_fnls(state)
-        assert oracle.exhaustive_2flip_scan(
-            inst, state.x, w, demand=None, cap=None) is None
+        assert oracle.exhaustive_2flip_scan(inst, state.x, w) is None
 
 
 def test_find_improving_two_flip_agrees_with_exhaustive():

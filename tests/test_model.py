@@ -7,6 +7,21 @@ from gubcover.model import Instance
 from conftest import random_instance
 
 
+def pack(lists) -> model.Csr:
+    """The given index lists packed as they are, in order."""
+    arrays = [np.asarray(a, dtype=np.int32) for a in lists]
+    ptr = np.zeros(len(arrays) + 1, dtype=np.int64)
+    np.cumsum([a.size for a in arrays], out=ptr[1:])
+    ind = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int32)
+    return model.Csr(ptr, ind)
+
+
+def raw_instance(cost, demand, col_rows, row_cols, cap, block_cols, block_of):
+    """An Instance over the given lists as they are, however broken."""
+    return Instance(cost, demand, pack(col_rows), pack(row_cols), cap, pack(block_cols),
+                    block_of)
+
+
 def test_from_columns_derives_transpose_and_blocks(t1):
     assert (t1.m, t1.n, t1.k) == (3, 4, 2)
     assert [list(r) for r in t1.row_cols] == [[0, 2], [0, 1], [1, 2, 3]]
@@ -95,7 +110,7 @@ def test_validate_cap_exceeds_block():
 
 
 def test_validate_transpose_mismatch(t1):
-    broken = Instance(
+    broken = raw_instance(
         cost=t1.cost,
         demand=t1.demand,
         col_rows=t1.col_rows,
@@ -310,7 +325,7 @@ def test_validate_matches_reference_one_fault(fault):
     for _ in range(40):
         parts = _raw_parts(random_instance(rng))
         FAULTS[fault](parts, rng)
-        inst = Instance(**parts)
+        inst = raw_instance(**parts)
         got = model.validate(inst)
         assert got == validate_reference(inst)
         raised += fault in {v.code for v in got}
@@ -325,14 +340,14 @@ def test_validate_matches_reference_many_faults():
         parts = _raw_parts(random_instance(rng))
         for name in rng.choice(names, size=int(rng.integers(2, 7))):
             FAULTS[name](parts, rng)
-        inst = Instance(**parts)
+        inst = raw_instance(**parts)
         assert model.validate(inst) == validate_reference(inst)
 
 
 def test_validate_reports_block_count_mismatch(t1):
     # the loop reference indexes cap by block and cannot take extra blocks
-    broken = Instance(t1.cost, t1.demand, t1.col_rows, t1.row_cols, t1.cap,
-                      list(t1.block_cols) + [np.array([0], dtype=np.int32)], t1.block_of)
+    broken = raw_instance(t1.cost, t1.demand, t1.col_rows, t1.row_cols, t1.cap,
+                          list(t1.block_cols) + [np.array([0], dtype=np.int32)], t1.block_of)
     codes = [v.code for v in model.validate(broken)]
     assert codes[0] == "block_count_mismatch"
     assert "blocks_not_partition" in codes
