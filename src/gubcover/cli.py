@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io as gio
 from . import model
-from .driver import RunResult, SolverConfig, build_id, solve
+from .driver import SCORE_SCHEMES, RunResult, SolverConfig, build_id, solve
 
 # benchmark families: class -> (rows, cols, density); type -> (cap, block size)
 CLASS_SHAPES = {
@@ -301,8 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance file")
     p.add_argument("--instance", required=True)
     p.add_argument("--format", choices=gio.FORMATS, default="gub")
-    p.add_argument("--score", choices=("lagrangian", "normalized", "pseudo", "none"),
-                   default="pseudo")
+    p.add_argument("--score", choices=SCORE_SCHEMES, default="pseudo")
     p.add_argument("--time-limit", type=float, default=600.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--neighborhood", choices=("1flip", "2flip"), default="2flip")

@@ -128,12 +128,17 @@ def build_id() -> str:
 
 
 def solve(inst, config: SolverConfig | None = None) -> RunResult:
+    """Run the solver on inst; ValueError for a bad config or for the
+    violations model.validate reports on inst."""
     cfg = (config or SolverConfig()).check()
+    problems = model.validate(inst)
+    if problems:
+        raise ValueError("; ".join(str(p) for p in problems))
     t0 = time.monotonic()
     deadline = t0 + cfg.time_limit
     rng = np.random.default_rng(cfg.seed)
     wbar_vec = model.initial_weights(inst)
-    cost_sum = int(inst.cost.sum())
+    cost_sum = inst.cost_sum
     uniform = cfg.greedy == "uniform"
 
     r1 = ReferenceSet(cfg.ref_capacity)

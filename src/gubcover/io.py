@@ -76,9 +76,10 @@ def _int_tokens(path):
 
     Lines are read in text mode and converted in batches of about _BATCH
     tokens, so every token is parsed as int() parses it and the strings of
-    the whole file never exist at once.  Reading stops after the batch
+    the whole file never exist at once.  Conversion stops after the batch
     holding the first token that is not an int64: tokens then ends just
-    before it, and ends[-1] > tokens.size.
+    before it, the lines after that batch are only counted, and
+    ends[-1] > tokens.size.
     """
     parts, counts, batch = [], [], []
     with _open_text(path) as fh:
@@ -89,6 +90,7 @@ def _int_tokens(path):
             if len(batch) >= _BATCH:
                 parts.append(_as_int64(batch))
                 if parts[-1].size < len(batch):
+                    counts += (len(rest.split()) for rest in fh)
                     break
                 batch = []
         else:
@@ -232,7 +234,9 @@ def _parse_orlib(cur):
 
 
 def _parse_rail(cur):
-    m = cur.run(1, "row count", 1).item()
+    # only m bounds the rows, and it sizes the demand array: cap it at the
+    # file's token count, which every coverable file meets (a row needs an entry)
+    m = cur.run(1, "row count", 1, cur.ends[-1]).item()
     n = cur.run(1, "column count", 1).item()
     (cost,), cols, rows = cur.lists(
         n, [("cost of column {}", 1, None), ("row count of column {}", 1, m)],
@@ -244,13 +248,13 @@ def _parse_rail(cur):
 def _scp_instance(cost, m, rows, cols) -> Instance:
     """Set covering: every demand 1, every column its own block with cap 1."""
     n = cost.size
-    return Instance.from_entries(cost, np.ones(m, dtype=np.int64), rows, cols,
-                                 np.ones(n, dtype=np.int64), np.arange(n), np.arange(n))
+    return Instance(cost, np.ones(m, dtype=np.int64), rows, cols,
+                    np.ones(n, dtype=np.int64), np.arange(n), np.arange(n))
 
 
 def read_gub(path) -> Instance:
     """Read a native .gub file (see the module docstring); FormatError if malformed."""
-    return Instance.from_entries(*_parse_gub(_Cursor(path)))
+    return Instance(*_parse_gub(_Cursor(path)))
 
 
 def read_orlib_scp(path) -> Instance:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass
 class Violation:
@@ -75,10 +77,6 @@ class Csr:
         """int64[len(ind)]: the list each entry belongs to."""
         return np.repeat(np.arange(self.count, dtype=np.int64), np.diff(self.ptr))
 
-    def list_of(self, pos) -> np.ndarray:
-        """The list holding each entry position in pos."""
-        return np.searchsorted(self.ptr, pos, side="right") - 1
-
     def __eq__(self, other):
         if not isinstance(other, Csr):
             return NotImplemented
@@ -86,18 +84,21 @@ class Csr:
 
 
 class Instance:
-    """Immutable problem instance.
+    """Immutable problem instance, built from coordinate lists.
+
+    Column cols[e] covers row rows[e], and column members[e] belongs to
+    block blocks[e] (all 0-based).  Entries may come in any order and may
+    repeat: every list is stored sorted and without repeats, and the
+    transpose and the block lookup are derived, so no instance holds
+    unsorted, repeated, out-of-range or mutually inconsistent lists.  A
+    column listed in several blocks gets the last of them as block_of,
+    which validate() then reports.  Raises ValueError for coordinate lists
+    of different lengths, an index out of range or a column in no block.
 
     The adjacency lives in three frozen Csr buffers: col_csr (rows of each
     column), row_csr (columns of each row) and block_csr (members of each
     block).  col_rows, row_cols and block_cols are lists of read-only views
     into them, one small array per column, row or block.
-
-    Construction normally goes through :meth:`from_entries`, or
-    :meth:`from_columns` on top of it, which sort and deduplicate every
-    list and derive the transpose and the block lookup.  The raw
-    constructor takes the three Csr buffers and block_of as they are,
-    unchecked; validate() reports what is wrong with them.
 
     Attributes
     ----------
@@ -112,44 +113,18 @@ class Instance:
     block_of : int64[n], block index of each column
     col_csr, row_csr, block_csr : Csr, the buffers behind the three lists
     nnz : int, number of (row, column) cover entries
-    wbar : float, penalty weight sum(cost) + 1, above the cost of every column
+    cost_sum : int, sum(cost) as a Python int, so it cannot wrap
+    wbar : float, penalty weight cost_sum + 1, above the cost of every column
         together; a sub-instance of a reduced problem keeps its parent's.
     """
 
-    def __init__(self, cost, demand, col_csr: Csr, row_csr: Csr, cap, block_csr: Csr,
-                 block_of, wbar=None):
+    def __init__(self, cost, demand, rows, cols, cap, blocks, members, wbar=None):
         self.cost = _frozen(np.asarray(cost, dtype=np.int64))
         self.demand = _frozen(np.asarray(demand, dtype=np.int64))
         self.cap = _frozen(np.asarray(cap, dtype=np.int64))
-        self.block_of = _frozen(np.asarray(block_of, dtype=np.int64))
-        self.col_csr = col_csr
-        self.row_csr = row_csr
-        self.block_csr = block_csr
-        self.col_rows = self.col_csr.views()
-        self.row_cols = self.row_csr.views()
-        self.block_cols = self.block_csr.views()
-        self.n = len(self.cost)
-        self.m = len(self.demand)
-        self.k = len(self.cap)
-        self.nnz = int(self.col_csr.ind.size)
-        self.wbar = float(self.cost.sum() + 1) if wbar is None else float(wbar)
-        self._matrix = None
-
-    @classmethod
-    def from_entries(cls, cost, demand, rows, cols, cap, blocks, members, wbar=None):
-        """Build an instance from coordinate lists.
-
-        Column cols[e] covers row rows[e], and column members[e] belongs to
-        block blocks[e] (all 0-based).  Entries may come in any order and
-        may repeat: every list is sorted and repeats are dropped.  A column
-        listed in several blocks gets the last of them as block_of, which
-        validate() then reports.  Raises ValueError for an index out of
-        range or a column in no block.
-        """
-        cost = np.asarray(cost, dtype=np.int64)
-        demand = np.asarray(demand, dtype=np.int64)
-        cap = np.asarray(cap, dtype=np.int64)
-        n, m, k = len(cost), len(demand), len(cap)
+        self.n = n = len(self.cost)
+        self.m = m = len(self.demand)
+        self.k = k = len(self.cap)
         rows, cols = np.asarray(rows), np.asarray(cols)
         blocks, members = np.asarray(blocks), np.asarray(members)
         if rows.shape != cols.shape or blocks.shape != members.shape:
@@ -157,31 +132,36 @@ class Instance:
         for idx, size, what in ((rows, m, "row"), (cols, n, "column"),
                                 (blocks, k, "block"), (members, n, "column")):
             _check_range(idx, size, what)
-        col_csr = Csr.group(cols, rows, n, m)
-        row_csr = Csr.group(rows, cols, m, n)
-        block_csr = Csr.group(blocks, members, k, n)
+        self.col_csr = Csr.group(cols, rows, n, m)
+        self.row_csr = Csr.group(rows, cols, m, n)
+        self.block_csr = Csr.group(blocks, members, k, n)
         block_of = np.full(n, -1, dtype=np.int64)
-        np.maximum.at(block_of, block_csr.ind, block_csr.owners())
+        np.maximum.at(block_of, self.block_csr.ind, self.block_csr.owners())
         if np.any(block_of < 0):
             bad = int(np.flatnonzero(block_of < 0)[0])
             raise ValueError(f"column {bad} belongs to no block")
-        return cls(cost, demand, col_csr, row_csr, cap, block_csr, block_of, wbar=wbar)
+        self.block_of = _frozen(block_of)
+        self.col_rows = self.col_csr.views()
+        self.row_cols = self.row_csr.views()
+        self.block_cols = self.block_csr.views()
+        self.nnz = int(self.col_csr.ind.size)
+        self.cost_sum = _exact_sum(self.cost)
+        self.wbar = float(self.cost_sum + 1) if wbar is None else float(wbar)
+        self._matrix = None
 
     @classmethod
     def from_columns(cls, cost, col_rows, demand, blocks):
         """Build an instance from column data.
 
-        blocks is a sequence of (cap, member_columns) pairs.  Goes through
-        from_entries, so indices are sorted and deduplicated, the row-wise
-        adjacency and the column->block map are derived, and ValueError is
-        raised for an index out of range, a column in no block, or a number
-        of column lists other than len(cost).
+        blocks is a sequence of (cap, member_columns) pairs.  Raises
+        ValueError as the constructor does, and for a number of column
+        lists other than len(cost).
         """
         n = len(cost)
         if len(col_rows) != n:
             raise ValueError(f"{len(col_rows)} column lists for {n} costs")
         members = [b[1] for b in blocks]
-        return cls.from_entries(
+        return cls(
             cost, demand,
             _flat(col_rows), np.repeat(np.arange(n), [len(r) for r in col_rows]),
             [b[0] for b in blocks],
@@ -225,6 +205,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _flat(lists) -> np.ndarray:
     return np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64)
+
+
+def _exact_sum(a: np.ndarray) -> int:
+    """sum(a) as a Python int; int64 arithmetic only where no partial sum can wrap."""
+    if a.size and max(int(a.max()), -int(a.min())) * a.size > _INT64_MAX:
+        return sum(a.tolist())
+    return int(a.sum())
 
 
 def _check_range(idx: np.ndarray, size: int, what: str):
@@ -289,111 +276,44 @@ def is_feasible(inst: Instance, x) -> bool:
     return bool(np.all(coverage_counts(inst, x) >= inst.demand)) and gub_feasible(inst, x)
 
 
-def _lists_hit(csr: Csr, entry) -> np.ndarray:
-    """bool per list: does it hold an entry where the mask entry is set."""
-    hit = np.zeros(csr.count, dtype=bool)
-    hit[csr.list_of(np.flatnonzero(entry))] = True
-    return hit
-
-
-def _lists_hit_pair(csr: Csr, pair) -> np.ndarray:
-    """bool per list: does it hold entries p, p + 1 with pair[p] set."""
-    p = np.flatnonzero(pair)
-    first, second = csr.list_of(p), csr.list_of(p + 1)
-    hit = np.zeros(csr.count, dtype=bool)
-    hit[first[first == second]] = True
-    return hit
-
-
 def validate(inst: Instance) -> list[Violation]:
-    """Check every structural invariant; returns an empty list when sound.
+    """Check the values an instance takes from outside; [] when sound.
 
-    Works on the packed buffers as stored, so a raw instance with too many
-    or too few lists, or lists that disagree, is checked as it is.  Each
-    check runs over all entries at once (ranges, emptiness, order and
-    repeats by comparing neighbouring entries, the transpose through a
-    scipy CSC -> CSR conversion, the block partition with bincount); only
-    the columns and blocks a check flags are visited one by one, so the
-    violations come out column by column, then block by block, in index
-    order.
+    The constructor already keeps every list sorted, without repeats and
+    in range, derives the transpose and puts each column in some block.
+    What is left is the values: positive costs whose sum fits in int64,
+    non-negative demands, no empty column, caps between 1 and the block
+    size, and no column in two blocks.  Violations come out costs and
+    demands first, then column by column and block by block in index
+    order, the partition last.
     """
     out: list[Violation] = []
-    cols, rows, blocks = inst.col_csr, inst.row_csr, inst.block_csr
-    if cols.count != inst.n:
-        out.append(Violation("column_count_mismatch", f"{cols.count} column lists for n={inst.n}"))
-    if rows.count != inst.m:
-        out.append(Violation("row_count_mismatch", f"{rows.count} row lists for m={inst.m}"))
-    if blocks.count != inst.k:
-        out.append(Violation("block_count_mismatch", f"{blocks.count} block lists for k={inst.k}"))
     if np.any(inst.cost <= 0):
         bad = np.flatnonzero(inst.cost <= 0)[0]
         out.append(Violation("cost_not_positive", f"column {bad} has cost {inst.cost[bad]}"))
+    if inst.cost_sum > _INT64_MAX:
+        out.append(Violation("cost_sum_overflow", f"costs sum to {inst.cost_sum}, beyond int64"))
     if np.any(inst.demand < 0):
         bad = np.flatnonzero(inst.demand < 0)[0]
         out.append(Violation("demand_negative", f"row {bad} has demand {inst.demand[bad]}"))
+    for j in np.flatnonzero(np.diff(inst.col_csr.ptr) == 0):
+        out.append(Violation("empty_column", f"column {j} covers no rows"))
 
-    ind = cols.ind
-    inside = (ind >= 0) & (ind < inst.m)
-    empty = np.diff(cols.ptr) == 0
-    outside = _lists_hit(cols, ~inside)
-    unsorted = _lists_hit_pair(cols, ind[1:] < ind[:-1])
-    repeated = _lists_hit_pair(cols, ind[1:] == ind[:-1])
-    for j in np.flatnonzero(empty | outside | unsorted | repeated):
-        if empty[j]:
-            out.append(Violation("empty_column", f"column {j} covers no rows"))
-        if outside[j]:
-            out.append(Violation("row_index_range",
-                                 f"column {j} references row {int(inst.col_rows[j].max())}"))
-            continue
-        if unsorted[j]:
-            out.append(Violation("unsorted_indices", f"column {j} row list is not sorted"))
-        elif repeated[j]:
-            out.append(Violation("duplicate_entry", f"column {j} lists a row twice"))
-
-    # transpose consistency: the in-range column entries, read row by row
-    # (columns ascending, repeats kept), must equal the stored row lists
-    ptr = cols.ptr
-    if not inside.all():
-        ptr = np.concatenate(([0], np.cumsum(inside)))[ptr]
-        ind = ind[inside]
-    derived = sp.csc_matrix((np.ones(ind.size, dtype=np.int8), ind, ptr),
-                            shape=(inst.m, cols.count)).tocsr()
-    last = min(inst.m, rows.count)
-    sizes_differ = np.flatnonzero(np.diff(derived.indptr[:last + 1]) != np.diff(rows.ptr[:last + 1]))
-    first = int(sizes_differ[0]) if sizes_differ.size else last
-    end = int(rows.ptr[first])
-    differ = np.flatnonzero(derived.indices[:end] != rows.ind[:end])
-    if differ.size:
-        first = int(rows.list_of(differ[0]))
-    if first < last:
-        out.append(Violation("transpose_mismatch", f"row {first} column list disagrees with column data"))
-
+    blocks = inst.block_csr
     owner = blocks.owners()
-    bind = blocks.ind
-    b_outside = _lists_hit(blocks, (bind < 0) | (bind >= inst.n))
-    ok = np.flatnonzero(~b_outside[owner])
-    pairs = np.unique(owner[ok] * inst.n + bind[ok])
-    seen = np.bincount(pairs % inst.n if inst.n else pairs, minlength=inst.n)
-    wrong = ok[inst.block_of[bind[ok]] != owner[ok]]
-    mismatch = np.zeros(blocks.count, dtype=bool)
-    mismatch[owner[wrong]] = True
+    mismatch = np.zeros(inst.k, dtype=bool)
+    mismatch[owner[inst.block_of[blocks.ind] != owner]] = True
     size = np.diff(blocks.ptr)
-    capped = min(blocks.count, inst.k)
-    cap_low = np.zeros(blocks.count, dtype=bool)
-    cap_low[:capped] = inst.cap[:capped] < 1
-    cap_high = np.zeros(blocks.count, dtype=bool)
-    cap_high[:capped] = inst.cap[:capped] > size[:capped]
-    for h in np.flatnonzero(b_outside | cap_low | cap_high | mismatch):
-        if b_outside[h]:
-            out.append(Violation("column_index_range",
-                                 f"block {h} references column {int(inst.block_cols[h].max())}"))
-            continue
+    cap_low = inst.cap < 1
+    cap_high = inst.cap > size
+    for h in np.flatnonzero(cap_low | cap_high | mismatch):
         if cap_low[h]:
             out.append(Violation("cap_not_positive", f"block {h} has cap {inst.cap[h]}"))
         if cap_high[h]:
             out.append(Violation("cap_exceeds_block_size", f"block {h} cap {inst.cap[h]} > size {size[h]}"))
         if mismatch[h]:
             out.append(Violation("block_of_mismatch", f"block {h} members disagree with block_of"))
+    seen = np.bincount(blocks.ind, minlength=inst.n)
     if np.any(seen != 1):
         bad = np.flatnonzero(seen != 1)[0]
         out.append(

@@ -90,7 +90,7 @@ class ReducedProblem:
         rows, blocks = inst.row_csr, inst.block_csr
         cover = core[rows.ind]
         member = core[blocks.ind]
-        sub = Instance.from_entries(
+        sub = Instance(
             inst.cost[cols], self.demand, rows.owners()[cover], pos[rows.ind[cover]],
             self.cap, blocks.owners()[member], pos[blocks.ind[member]], wbar=inst.wbar)
         return sub, cols

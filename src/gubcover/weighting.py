@@ -82,8 +82,7 @@ class WlsResult:
     iterations: int
 
 
-def wls(state, window=50, delta=0.2, fraction=0.15, one_flip_only=False, move_cap=None,
-        deadline=None):
+def wls(state, window=50, delta=0.2, fraction=0.15, one_flip_only=False, deadline=None):
     """Weighted local search: repeat two_fnls, adapting weights in between.
 
     Restarts the weights at their initial values, then loops: search,
@@ -101,8 +100,7 @@ def wls(state, window=50, delta=0.2, fraction=0.15, one_flip_only=False, move_ca
     while True:
         rounds += 1
         tracker = BestTracker()
-        two_fnls(state, one_flip_only=one_flip_only, tracker=tracker,
-                 move_cap=move_cap, deadline=deadline)
+        two_fnls(state, one_flip_only=one_flip_only, tracker=tracker, deadline=deadline)
         if tracker.value < best_val:
             best_val = tracker.value
             best_x = tracker.x

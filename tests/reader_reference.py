@@ -20,7 +20,8 @@ _INT64 = np.iinfo(np.int64)
 class _Tokens:
     """Whitespace token stream that tracks line numbers for error messages."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, size):
+        self.size = size  # tokens in the whole file
         self._lines = enumerate(fh, start=1)
         self._line_no = 0
         self._buf = iter(())
@@ -103,7 +104,7 @@ def _walk_orlib(t):
 
 
 def _walk_rail(t):
-    m = t.next_int("row count", lo=1)
+    m = t.next_int("row count", lo=1, hi=t.size)
     n = t.next_int("column count", lo=1)
     for j in range(n):
         t.next_int(f"cost of column {j + 1}", lo=1)
@@ -119,4 +120,6 @@ WALKS = {"gub": _walk_gub, "orlib": _walk_orlib, "rail": _walk_rail}
 def check_file(path, fmt):
     """Walk the file in fmt; FormatError if it is malformed, None if not."""
     with _open_text(path) as fh:
-        WALKS[fmt](_Tokens(fh))
+        size = sum(len(line.split()) for line in fh)
+    with _open_text(path) as fh:
+        WALKS[fmt](_Tokens(fh, size))

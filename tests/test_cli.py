@@ -10,8 +10,10 @@ import json
 import numpy as np
 import pytest
 
-from gubcover import cli
+from gubcover import cli, model
 from gubcover import io as gio
+
+import oracle
 from conftest import build_t1
 
 
@@ -61,6 +63,15 @@ def test_solve_writes_json(t1_file, tmp_path, capsys):
     assert sorted(payload["selected"]) == [1, 2]
     assert payload["instance_name"] == t1_file
     assert payload["build"].startswith("gubcover-")
+    # the written selection, recounted from scratch
+    t1 = build_t1()
+    x = model.as_bool(t1.n, payload["selected"])
+    s, blk = oracle.recount(t1, x)
+    assert np.all(blk <= t1.cap)
+    assert payload["feasible"] == bool(np.all(s >= t1.demand)) is True
+    assert payload["objective"] == int(t1.cost[x].sum())
+    want = oracle.penalized_value(t1, x, model.initial_weights(t1))
+    assert payload["penalized"] == pytest.approx(want, rel=1e-9)
 
 
 def test_solve_appends_csv(t1_file, tmp_path, capsys):
@@ -107,6 +118,15 @@ def test_solve_rejects_oversized_integer(t1_file, capsys):
         fh.write("\n".join(lines) + "\n")
     assert cli.main(["solve", "--instance", t1_file, "--time-limit", "1"]) == 1
     assert "error: line 2: cost of column 1 99999999999999999999 out of range" in capsys.readouterr().err
+
+
+def test_solve_rejects_cost_sum_beyond_int64(tmp_path, capsys):
+    path = tmp_path / "overflow.gub"
+    path.write_text("1 2 1\n9223372036854775807 5\n1\n2 1 2\n1 2 1 2\n")
+    assert cli.main(["solve", "--instance", str(path), "--time-limit", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cost_sum_overflow: costs sum to 9223372036854775812")
 
 
 def test_solve_rejects_bad_config(t1_file, capsys):

@@ -36,6 +36,16 @@ def test_reported_objective_revalidates(t1):
     assert model.is_feasible(t1, x) == res.feasible
 
 
+def test_solve_rejects_invalid_instance(capsys):
+    # costs that overflow int64 together, and a cap above its block size
+    inst = Instance.from_columns([2**63 - 1, 5], [[0], [0]], [1], [(3, [0, 1])])
+    with pytest.raises(ValueError) as err:
+        solve_checked(inst, quick())
+    assert str(err.value) == ("cost_sum_overflow: costs sum to 9223372036854775812, beyond int64; "
+                              "cap_exceeds_block_size: block 0 cap 3 > size 2")
+    assert capsys.readouterr().out == ""
+
+
 def test_infeasible_demand_sets_signal():
     inst = Instance.from_columns([4, 3, 5, 1], [[0, 1], [1, 2], [0, 2], [2]],
                                  [1, 1, 4], [(1, [0, 1]), (2, [2, 3])])

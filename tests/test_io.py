@@ -2,7 +2,7 @@ import gzip
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gubcover import io as gio
@@ -244,6 +244,7 @@ def raw_files(draw, fmt):
         toks += [m, n]
         for j in range(n):
             toks += [cost[j], len(col_rows[j])] + [i + 1 for i in col_rows[j]]
+        assume(m <= len(toks))  # the reader bounds the row count by the token count
         return toks, Instance.from_columns(cost, col_rows, [1] * m, [(1, [j]) for j in range(n)])
     # per row 0..n columns, any order, repeats allowed
     rows = [draw(st.lists(st.integers(0, n - 1), max_size=n)) for _ in range(m)]
@@ -412,8 +413,7 @@ DIFF_MUTATIONS = MUTATIONS + ("zero", "oversized", "padded", "padded_tail")
 TAILS = ("", "\n", "\n\n", "  \n", " \t\n\n", "   ")
 
 
-# The grammar alone: building a huge accepted instance (a rail file may
-# declare any row count) is not the walk's business.
+# The grammar alone: building the instance is not the walk's business.
 PARSERS = {"gub": gio._parse_gub, "orlib": gio._parse_orlib, "rail": gio._parse_rail}
 
 
@@ -460,6 +460,29 @@ def test_reader_short_files_match_reference_walk(tmp_path, fmt, text):
     with gzip.open(path, "wt") as fh:
         fh.write(text)
     assert _outcome(_parse, path, fmt) == _outcome(reader_reference.check_file, path, fmt)
+
+
+def test_rail_row_count_beyond_int64_buffer(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("9223372036854775807 1\n5 1 1\n")
+    with pytest.raises(FormatError,
+                       match="^line 1: row count 9223372036854775807 out of range$"):
+        gio.read_rail(path)
+
+
+@pytest.mark.parametrize("batch", [1, 1 << 16])
+@pytest.mark.parametrize("m", [5, 8, 9])
+def test_rail_row_count_bounded_by_file_tokens(tmp_path, batch, m):
+    # eight tokens; the words after the column still count, also on the
+    # lines after the one where conversion stops
+    path = tmp_path / "rows.txt"
+    path.write_text(f"{m} 1\n5 1 1\nx\ny z\n")
+    want = ("line 1: row count 9 out of range" if m == 9
+            else "line 3: trailing data 'x'")
+    assert _outcome(reader_reference.check_file, path, "rail") == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gio, "_BATCH", batch)
+        assert _outcome(gio.read_rail, path) == want
 
 
 def test_parse_solution_index_beyond_int64(tmp_path):

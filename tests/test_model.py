@@ -7,21 +7,6 @@ from gubcover.model import Instance
 from conftest import random_instance
 
 
-def pack(lists) -> model.Csr:
-    """The given index lists packed as they are, in order."""
-    arrays = [np.asarray(a, dtype=np.int32) for a in lists]
-    ptr = np.zeros(len(arrays) + 1, dtype=np.int64)
-    np.cumsum([a.size for a in arrays], out=ptr[1:])
-    ind = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int32)
-    return model.Csr(ptr, ind)
-
-
-def raw_instance(cost, demand, col_rows, row_cols, cap, block_cols, block_of):
-    """An Instance over the given lists as they are, however broken."""
-    return Instance(cost, demand, pack(col_rows), pack(row_cols), cap, pack(block_cols),
-                    block_of)
-
-
 def test_from_columns_derives_transpose_and_blocks(t1):
     assert (t1.m, t1.n, t1.k) == (3, 4, 2)
     assert [list(r) for r in t1.row_cols] == [[0, 2], [0, 1], [1, 2, 3]]
@@ -109,18 +94,13 @@ def test_validate_cap_exceeds_block():
     assert "cap_exceeds_block_size" in codes
 
 
-def test_validate_transpose_mismatch(t1):
-    broken = raw_instance(
-        cost=t1.cost,
-        demand=t1.demand,
-        col_rows=t1.col_rows,
-        row_cols=[t1.row_cols[0], np.array([0], dtype=np.int32), t1.row_cols[2]],
-        cap=t1.cap,
-        block_cols=t1.block_cols,
-        block_of=t1.block_of,
-    )
-    codes = [v.code for v in model.validate(broken)]
-    assert "transpose_mismatch" in codes
+def test_validate_reports_cost_sum_beyond_int64():
+    # each cost fits in int64, their sum does not
+    inst = Instance.from_columns(cost=[2**63 - 1, 5], col_rows=[[0], [0]], demand=[1],
+                                 blocks=[(1, [0, 1])])
+    assert inst.cost_sum == 2**63 + 4
+    assert inst.wbar == float(2**63 + 5)
+    assert [v.code for v in model.validate(inst)] == ["cost_sum_overflow"]
 
 
 def test_validate_passes_on_random_instances():
@@ -144,7 +124,9 @@ def validate_reference(inst):
     """The per-column, per-block loop that model.validate replaced.
 
     Kept as the reference the vectorized checks must reproduce exactly:
-    same codes, same messages, same order.
+    same codes, same messages, same order.  Its checks on the lists
+    themselves (counts, ranges, order, repeats, transpose) cannot fire on
+    an instance the constructor built; they stay as a check on it.
     """
     out = []
     if len(inst.col_rows) != inst.n:
@@ -213,28 +195,50 @@ def _fault_empty_column(p, rng):
     p["col_rows"][_pick(rng, p["col_rows"])] = []
 
 
+def _fault_unsorted(p, rng):
+    rows = p["col_rows"][_pick(rng, p["col_rows"])]
+    rows.append(0 if rows and rows[-1] else 1)
+
+
+def _fault_duplicate(p, rng):
+    rows = p["col_rows"][_pick(rng, p["col_rows"])]
+    if rows:
+        at = _pick(rng, rows)
+        rows.insert(at, rows[at])
+
+
+def _fault_cap_low(p, rng):
+    p["blocks"][_pick(rng, p["blocks"])][0] = int(rng.choice([0, -3]))
+
+
+def _fault_cap_high(p, rng):
+    block = p["blocks"][_pick(rng, p["blocks"])]
+    block[0] = len(block[1]) + int(rng.integers(1, 3))
+
+
+def _fault_second_block(p, rng):
+    # list a column in one more block: another existing one, or a new one
+    j = _pick(rng, p["cost"])
+    others = [b for b in p["blocks"] if j not in b[1]]
+    if others and rng.random() < 0.5:
+        others[_pick(rng, others)][1].append(j)
+    else:
+        p["blocks"].append([1, [j]])
+
+
+def _fault_block_repeat(p, rng):
+    members = p["blocks"][_pick(rng, p["blocks"])][1]
+    members.insert(0, members[-1])
+
+
 def _fault_row_range(p, rng):
     m = len(p["demand"])
     p["col_rows"][_pick(rng, p["col_rows"])].insert(0, int(rng.choice([-1, m, m + 5])))
 
 
-def _fault_unsorted(p, rng):
-    rows = p["col_rows"][_pick(rng, p["col_rows"])]
-    rows.append(0 if rows[-1] else 1)
-
-
-def _fault_duplicate(p, rng):
-    rows = p["col_rows"][_pick(rng, p["col_rows"])]
-    at = _pick(rng, rows)
-    rows.insert(at, rows[at])
-
-
-def _fault_transpose(p, rng):
-    cols = p["row_cols"][_pick(rng, p["row_cols"])]
-    if cols and rng.random() < 0.5:
-        cols.pop(_pick(rng, cols))
-    else:
-        cols.append(int(rng.integers(len(p["cost"]))))
+def _fault_column_range(p, rng):
+    n = len(p["cost"])
+    p["blocks"][_pick(rng, p["blocks"])][1].append(int(rng.choice([-2, n, n + 3])))
 
 
 def _fault_column_count(p, rng):
@@ -244,77 +248,38 @@ def _fault_column_count(p, rng):
         p["col_rows"].append([int(rng.integers(len(p["demand"])))])
 
 
-def _fault_row_count(p, rng):
-    if rng.random() < 0.5:
-        p["row_cols"].pop()
-    else:
-        p["row_cols"].append([])
-
-
-def _fault_column_range(p, rng):
-    n = len(p["cost"])
-    p["block_cols"][_pick(rng, p["block_cols"])].append(int(rng.choice([-2, n, n + 3])))
-
-
-def _fault_cap_low(p, rng):
-    p["cap"][_pick(rng, p["cap"])] = int(rng.choice([0, -3]))
-
-
-def _fault_cap_high(p, rng):
-    h = _pick(rng, p["cap"])
-    p["cap"][h] = len(p["block_cols"][h]) + int(rng.integers(1, 3))
-
-
-def _fault_block_of(p, rng):
-    p["block_of"][_pick(rng, p["block_of"])] = int(rng.choice([-1, len(p["cap"])]))
-
-
-def _fault_partition(p, rng):
-    members = p["block_cols"][_pick(rng, p["block_cols"])]
-    if rng.random() < 0.5:
-        members.pop(_pick(rng, members))
-    else:
-        members.append(int(rng.integers(len(p["cost"]))))
-
-
-def _fault_block_repeat(p, rng):
-    # a member listed twice in its own block: counted once for the partition
-    members = p["block_cols"][_pick(rng, p["block_cols"])]
-    members.insert(0, members[-1])
-
-
-# faults that break no invariant on their own
-HARMLESS = {"unsorted_block", "repeated_block_member"}
+# faults the constructor sorts or deduplicates away: no invariant breaks
+HARMLESS = {"unsorted_indices", "duplicate_entry", "unsorted_block", "repeated_block_member"}
 
 FAULTS = {
     "cost_not_positive": _fault_cost,
     "demand_negative": _fault_demand,
     "empty_column": _fault_empty_column,
-    "row_index_range": _fault_row_range,
     "unsorted_indices": _fault_unsorted,
     "duplicate_entry": _fault_duplicate,
-    "transpose_mismatch": _fault_transpose,
-    "column_count_mismatch": _fault_column_count,
-    "row_count_mismatch": _fault_row_count,
-    "column_index_range": _fault_column_range,
     "cap_not_positive": _fault_cap_low,
     "cap_exceeds_block_size": _fault_cap_high,
-    "block_of_mismatch": _fault_block_of,
-    "blocks_not_partition": _fault_partition,
-    "unsorted_block": lambda p, rng: p["block_cols"][_pick(rng, p["block_cols"])].reverse(),
+    "block_of_mismatch": _fault_second_block,
+    "blocks_not_partition": _fault_second_block,
+    "unsorted_block": lambda p, rng: p["blocks"][_pick(rng, p["blocks"])][1].reverse(),
     "repeated_block_member": _fault_block_repeat,
 }
 
+# faults in the lists themselves, which no instance can hold
+RAW_FAULTS = {
+    "row_index_range": _fault_row_range,
+    "column_index_range": _fault_column_range,
+    "column_count_mismatch": _fault_column_count,
+}
 
-def _raw_parts(inst):
+
+def _parts(inst):
+    """from_columns arguments that rebuild inst, as mutable lists."""
     return {
         "cost": [int(c) for c in inst.cost],
-        "demand": [int(b) for b in inst.demand],
         "col_rows": [[int(i) for i in r] for r in inst.col_rows],
-        "row_cols": [[int(j) for j in c] for c in inst.row_cols],
-        "cap": [int(c) for c in inst.cap],
-        "block_cols": [[int(j) for j in b] for b in inst.block_cols],
-        "block_of": [int(h) for h in inst.block_of],
+        "demand": [int(b) for b in inst.demand],
+        "blocks": [[int(c), [int(j) for j in b]] for c, b in zip(inst.cap, inst.block_cols)],
     }
 
 
@@ -323,13 +288,15 @@ def test_validate_matches_reference_one_fault(fault):
     rng = np.random.default_rng(sorted(FAULTS).index(fault))
     raised = 0
     for _ in range(40):
-        parts = _raw_parts(random_instance(rng))
+        parts = _parts(random_instance(rng))
         FAULTS[fault](parts, rng)
-        inst = raw_instance(**parts)
+        inst = Instance.from_columns(**parts)
         got = model.validate(inst)
         assert got == validate_reference(inst)
         raised += fault in {v.code for v in got}
-    if fault not in HARMLESS:
+    if fault in HARMLESS:
+        assert raised == 0
+    else:
         assert raised >= 30  # the injection really produces its own code
 
 
@@ -337,17 +304,18 @@ def test_validate_matches_reference_many_faults():
     rng = np.random.default_rng(11)
     names = sorted(FAULTS)
     for _ in range(300):
-        parts = _raw_parts(random_instance(rng))
+        parts = _parts(random_instance(rng))
         for name in rng.choice(names, size=int(rng.integers(2, 7))):
             FAULTS[name](parts, rng)
-        inst = raw_instance(**parts)
+        inst = Instance.from_columns(**parts)
         assert model.validate(inst) == validate_reference(inst)
 
 
-def test_validate_reports_block_count_mismatch(t1):
-    # the loop reference indexes cap by block and cannot take extra blocks
-    broken = raw_instance(t1.cost, t1.demand, t1.col_rows, t1.row_cols, t1.cap,
-                          list(t1.block_cols) + [np.array([0], dtype=np.int32)], t1.block_of)
-    codes = [v.code for v in model.validate(broken)]
-    assert codes[0] == "block_count_mismatch"
-    assert "blocks_not_partition" in codes
+@pytest.mark.parametrize("fault", sorted(RAW_FAULTS))
+def test_from_columns_rejects_raw_fault(fault):
+    rng = np.random.default_rng(sorted(RAW_FAULTS).index(fault))
+    for _ in range(40):
+        parts = _parts(random_instance(rng))
+        RAW_FAULTS[fault](parts, rng)
+        with pytest.raises(ValueError, match="out of range|column lists for"):
+            Instance.from_columns(**parts)
