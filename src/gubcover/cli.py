@@ -96,8 +96,7 @@ def cmd_solve(args) -> int:
     result = solve(inst, cfg)
     print(f"instance: {args.instance} (m={inst.m}, n={inst.n}, k={inst.k})")
     print(f"objective: {result.objective}")
-    if result.lower_bound is not None:
-        print(f"bound: {result.lower_bound:.4f}")
+    print(f"bound: {result.lower_bound:.4f}")
     print(f"feasible: {'yes' if result.feasible else 'no'}")
     print(f"iterations: {result.iterations}  elapsed: {result.elapsed:.2f}s  build: {result.build}")
     if args.out:
@@ -199,7 +198,7 @@ def _bench_one(task):
         "objective": result.objective,
         "feasible": int(result.feasible),
         "penalized": result.penalized,
-        "lower_bound": "" if result.lower_bound is None else f"{result.lower_bound:.4f}",
+        "lower_bound": f"{result.lower_bound:.4f}",
         "elapsed": f"{result.elapsed:.3f}",
         "time_limit": cfg.time_limit,
     }

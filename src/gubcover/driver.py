@@ -15,7 +15,7 @@ import functools
 import math
 import subprocess
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from importlib import metadata
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import model, reduction
 from .localsearch import SearchState, greedy_construct
 from .pathrelink import ReferenceSet, draw_pair, walk
-from .relaxation import SubgradientParams, subgradient_method
+from .relaxation import subgradient_method
 from .weighting import wls
 
 SCORE_SCHEMES = ("lagrangian", "normalized", "pseudo", "none")
@@ -38,15 +38,6 @@ class SolverConfig:
     neighborhood: str = "2flip"     # "2flip" | "1flip"
     path_relinking: bool = True
     greedy: str = "randomized"      # "randomized" | "uniform"
-    greedy_width: int = 5           # candidate pool of the randomized greedy
-    ref_capacity: int = 10          # size of each reference pool
-    window: int = 50                # non-improving rounds before a search call stops
-    weight_delta: float = 0.2       # increase factor on the most violated row
-    weight_fraction: float = 0.15   # drop-gain quota for the uniform decrease
-    fix_fraction: float = 0.2       # row-coverage target of the fixing step
-    core_multiplier: int = 10       # core keeps multiplier * n' best columns
-    compute_bound: bool = True      # run the subgradient phase even if scores don't need it
-    subgradient: SubgradientParams = field(default_factory=SubgradientParams)
     target: float | None = None     # stop early at this objective (optional)
     max_iterations: int | None = None  # outer-loop cap (optional)
 
@@ -63,23 +54,6 @@ class SolverConfig:
             raise ValueError("an infinite time_limit needs max_iterations")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if not (math.isfinite(self.weight_delta) and self.weight_delta >= 0):
-            raise ValueError("weight_delta must be finite and >= 0")
-        if min(self.ref_capacity, self.greedy_width, self.window, self.core_multiplier) < 1:
-            raise ValueError("ref_capacity, greedy_width, window and core_multiplier must be >= 1")
-        if not (0 < self.weight_fraction <= 1) or not (0 <= self.fix_fraction <= 1):
-            raise ValueError("weight_fraction/fix_fraction out of range")
-        sg = self.subgradient
-        if sg.pricing not in ("auto", "on", "off"):
-            raise ValueError(f"unknown subgradient pricing {sg.pricing!r}")
-        if not (math.isfinite(sg.step_init) and sg.step_init > 0):
-            raise ValueError("subgradient step_init must be finite and > 0")
-        if not (math.isfinite(sg.step_min) and sg.step_min >= 0):
-            raise ValueError("subgradient step_min must be finite and >= 0")
-        if min(sg.halve_after, sg.refresh, sg.core_factor) < 1:
-            raise ValueError("subgradient halve_after, refresh and core_factor must be >= 1")
-        if sg.max_iters is not None and sg.max_iters < 0:
-            raise ValueError("subgradient max_iters must be >= 0")
         return self
 
 
@@ -91,7 +65,7 @@ class RunResult:
     penalized: float      # value under the initial weights
     cost_sum: int
     infeasibility_signal: bool  # penalized > cost_sum: no feasible solution found
-    lower_bound: float | None
+    lower_bound: float
     iterations: int
     timeline: list        # (outer iteration, penalized value, elapsed seconds)
     core_fractions: list  # per-iteration |core| / n
@@ -141,13 +115,10 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
     cost_sum = inst.cost_sum
     uniform = cfg.greedy == "uniform"
 
-    r1 = ReferenceSet(cfg.ref_capacity)
-    r2 = ReferenceSet(cfg.ref_capacity)
+    r1, r2 = ReferenceSet(), ReferenceSet()
     for pool in (r1, r2):
-        for _ in range(cfg.ref_capacity):
-            st = greedy_construct(inst, wbar_vec, rng,
-                                  width=cfg.greedy_width, uniform=uniform)
-            pool.add_initial(st.x)
+        for _ in range(pool.capacity):
+            pool.add_initial(greedy_construct(inst, wbar_vec, rng, uniform=uniform).x)
 
     x_hat = None
     star_val = np.inf
@@ -160,12 +131,7 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
     x_star = x_hat.copy()
     timeline = [(0, star_val, time.monotonic() - t0)]
 
-    bound = None
-    u_tilde = np.zeros(inst.m)
-    if cfg.compute_bound or cfg.score in ("lagrangian", "normalized"):
-        sres = subgradient_method(inst, star_val, cfg.subgradient)
-        bound = sres.bound
-        u_tilde = sres.u
+    sres = subgradient_method(inst, star_val)
 
     w_cur = wbar_vec.copy()
     core_fractions: list[float] = []
@@ -185,20 +151,16 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
     while not finished():
         outer += 1
         if cfg.score != "none":
-            base = u_tilde if cfg.score in ("lagrangian", "normalized") else w_cur
-            fres = reduction.fix_columns(inst, x_star, x_hat, base, rng,
-                                         fraction=cfg.fix_fraction)
+            base = w_cur if cfg.score == "pseudo" else sres.u
+            fres = reduction.fix_columns(inst, x_star, x_hat, base, rng)
             if fres.exhausted:
                 fix_exhaustions += 1
             red = reduction.apply_fixing(inst, fres.fixed)
-            if cfg.score == "lagrangian":
-                scores = reduction.lagrangian_scores(inst, fres.scores_u)
-            elif cfg.score == "normalized":
+            if cfg.score == "normalized":
                 scores = reduction.normalized_scores(red, fres.scores_u)
             else:
                 scores = reduction.pseudo_scores(inst, fres.scores_u)
-            core = reduction.build_core(red, scores, x_star, x_hat,
-                                        multiplier=cfg.core_multiplier)
+            core = reduction.build_core(red, scores, x_star, x_hat)
             core_fractions.append(core.sum() / inst.n if inst.n else 0.0)
             sub, cols = red.restrict(core)
             fixed_mask = ~red.free
@@ -206,8 +168,6 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
             sub, cols, fixed_mask = inst, np.arange(inst.n), np.zeros(inst.n, dtype=bool)
 
         wres = wls(SearchState(sub, wbar_vec, x0=x_hat[cols]),
-                   window=cfg.window, delta=cfg.weight_delta,
-                   fraction=cfg.weight_fraction,
                    one_flip_only=(cfg.neighborhood == "1flip"),
                    deadline=deadline)
         w_cur = wres.w
@@ -245,7 +205,7 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
         penalized=penalized,
         cost_sum=cost_sum,
         infeasibility_signal=penalized > cost_sum,
-        lower_bound=bound,
+        lower_bound=sres.bound,
         iterations=outer,
         timeline=[(int(i), float(v), float(e)) for i, v, e in timeline],
         core_fractions=[float(f) for f in core_fractions],

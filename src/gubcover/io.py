@@ -340,6 +340,9 @@ class GeneratorParams:
             raise ValueError("bad cost range")
         if not (0 <= self.demand_lo <= self.demand_hi):
             raise ValueError("bad demand range")
+        if self.cols < max(2, self.demand_hi):
+            raise ValueError("cols must be at least max(2, demand_hi): every row "
+                             "gets that many distinct covering columns")
         return self
 
 
@@ -435,7 +438,7 @@ def result_csv_row(result, instance_name="") -> dict:
         "objective": result.objective,
         "feasible": int(result.feasible),
         "penalized": result.penalized,
-        "lower_bound": "" if result.lower_bound is None else result.lower_bound,
+        "lower_bound": result.lower_bound,
         "iterations": result.iterations,
         "elapsed": f"{result.elapsed:.3f}",
         "build": result.build,

@@ -33,6 +33,8 @@ import time
 
 import numpy as np
 
+from .model import coverage_counts
+
 
 class SearchState:
     """One working solution plus everything needed to evaluate flips fast.
@@ -62,14 +64,14 @@ class SearchState:
 
     def _rebuild(self):
         inst = self.inst
-        a = inst.matrix()
-        self.s = (a @ self.x.astype(np.int64)).astype(np.int64)
+        self.s = coverage_counts(inst, self.x)
         sel = np.flatnonzero(self.x)
         self.blk = np.bincount(inst.block_of[sel], minlength=inst.k).astype(np.int64)
         self.cost = int(inst.cost[sel].sum())
         short = np.maximum(self.b - self.s, 0)
         self.viol = int(short.sum())
         self.zhat = self.cost + float(np.dot(self.w, short))
+        a = inst.matrix()
         self.dp_up = (self.w * (self.s < self.b)) @ a
         self.dp_down = (self.w * (self.s <= self.b)) @ a
 

@@ -119,9 +119,10 @@ class Instance:
     """
 
     def __init__(self, cost, demand, rows, cols, cap, blocks, members, wbar=None):
-        self.cost = _frozen(np.asarray(cost, dtype=np.int64))
-        self.demand = _frozen(np.asarray(demand, dtype=np.int64))
-        self.cap = _frozen(np.asarray(cap, dtype=np.int64))
+        # copies: freezing must not make the caller's own arrays read-only
+        self.cost = _frozen(np.array(cost, dtype=np.int64))
+        self.demand = _frozen(np.array(demand, dtype=np.int64))
+        self.cap = _frozen(np.array(cap, dtype=np.int64))
         self.n = n = len(self.cost)
         self.m = m = len(self.demand)
         self.k = k = len(self.cap)

@@ -14,6 +14,8 @@ import numpy as np
 from .localsearch import SearchState
 from .model import solution_key
 
+DRAW_TRIES = 10  # pair draws before draw_pair gives up on a walk
+
 
 class ReferenceSet:
     """Bounded pool of distinct solutions."""
@@ -54,17 +56,17 @@ class ReferenceSet:
         return True
 
 
-def draw_pair(r1, r2, exclude_key, evaluate, rng, tries=10):
+def draw_pair(r1, r2, exclude_key, evaluate, rng):
     """Pick one member from each pool and orient the pair for a walk.
 
     The lower-valued draw (under `evaluate`) starts the walk.  Pairs whose
-    starter is the excluded solution are redrawn; after `tries` failures
+    starter is the excluded solution are redrawn; after DRAW_TRIES failures
     returns (None, None, better-of-the-last-pair) and the caller skips the
     walk.
     """
     a = b = None
     va = vb = 0.0
-    for _ in range(tries):
+    for _ in range(DRAW_TRIES):
         a = r1.members[int(rng.integers(len(r1)))]
         b = r2.members[int(rng.integers(len(r2)))]
         va = evaluate(a)

@@ -18,20 +18,23 @@ import numpy as np
 
 from .localsearch import BestTracker, two_fnls
 
+INCREASE_DELTA = 0.2      # the most violated row's weight grows by this factor
+DECREASE_FRACTION = 0.15  # share of selected columns a decrease makes worth dropping
 
-def decrease_factor(state, fraction=0.15, eps=1e-9):
+
+def decrease_factor(state):
     """Uniform shrink factor eta for w <- (1 - eta) w.
 
-    Chosen minimally so that at least ceil(fraction * n') of the selected
-    columns end up with a negative drop gain, n' being the number of
-    selected columns.  Columns already improving to drop count toward the
+    Chosen minimally so that at least ceil(DECREASE_FRACTION * n') of the
+    selected columns end up with a negative drop gain, n' being the number
+    of selected columns.  Columns already improving to drop count toward the
     quota; if the quota is already met (or nothing is selected) returns
     None and the weights should stay put.
     """
     sel = np.flatnonzero(state.x)
     if sel.size == 0:
         return None
-    quota = math.ceil(fraction * sel.size)
+    quota = math.ceil(DECREASE_FRACTION * sel.size)
     c = state.costf[sel]
     dpd = state.dp_down[sel]
     # dp_down <= 0 means the drop gain is -c, negative at any scale
@@ -45,30 +48,31 @@ def decrease_factor(state, fraction=0.15, eps=1e-9):
     if thresholds.size == 0:
         return None
     v = float(thresholds[min(need, thresholds.size) - 1])
-    eta = v + eps * max(1.0, abs(v))
+    eta = v + 1e-9 * max(1.0, abs(v))
     if eta <= 0:
         return None
     return min(eta, 1.0 - 1e-12)
 
 
-def decrease_weights(state, fraction=0.15):
-    eta = decrease_factor(state, fraction=fraction)
+def decrease_weights(state):
+    eta = decrease_factor(state)
     if eta is not None:
         state.scale_weights(1.0 - eta)
     return eta
 
 
-def increase_weights(state, delta=0.2):
+def increase_weights(state):
     """Raise weights on violated rows, proportionally to their shortfall.
 
-    The most violated row gains the full factor (1 + delta), others less,
-    and nothing ever exceeds the initial weight.  No violation, no change.
+    The most violated row gains the full factor (1 + INCREASE_DELTA),
+    others less, and nothing ever exceeds the initial weight.  No
+    violation, no change.
     """
     y = np.maximum(state.b - state.s, 0).astype(float)
     ymax = float(y.max()) if y.size else 0.0
     if ymax == 0.0:
         return False
-    w_new = np.minimum(state.w * (1.0 + delta * y / ymax), state.wbar)
+    w_new = np.minimum(state.w * (1.0 + INCREASE_DELTA * y / ymax), state.wbar)
     state.set_weights(w_new)
     return True
 
@@ -82,7 +86,7 @@ class WlsResult:
     iterations: int
 
 
-def wls(state, window=50, delta=0.2, fraction=0.15, one_flip_only=False, deadline=None):
+def wls(state, window=50, one_flip_only=False, deadline=None):
     """Weighted local search: repeat two_fnls, adapting weights in between.
 
     Restarts the weights at their initial values, then loops: search,
@@ -112,8 +116,8 @@ def wls(state, window=50, delta=0.2, fraction=0.15, one_flip_only=False, deadlin
         if deadline is not None and time.monotonic() >= deadline:
             break
         if state.zhat >= best_val:
-            decrease_weights(state, fraction=fraction)
+            decrease_weights(state)
         else:
-            increase_weights(state, delta=delta)
+            increase_weights(state)
     return WlsResult(x_hat=state.x.copy(), x_best=best_x, zbar_best=best_val,
                      w=state.w.copy(), iterations=rounds)

@@ -5,6 +5,7 @@ printed output are checked without spawning an interpreter.
 """
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -12,9 +13,17 @@ import pytest
 
 from gubcover import cli, model
 from gubcover import io as gio
+from gubcover.driver import SolverConfig
 
 import oracle
-from conftest import build_t1
+from conftest import build_t1, solve_checked
+
+
+@pytest.fixture(autouse=True)
+def recounted_solves(monkeypatch):
+    """Every solve the CLI runs goes through the oracle recount; forked
+    bench workers inherit the patched module."""
+    monkeypatch.setattr(cli, "solve", solve_checked)
 
 
 @pytest.fixture()
@@ -129,6 +138,16 @@ def test_solve_rejects_cost_sum_beyond_int64(tmp_path, capsys):
     assert captured.err.startswith("error: cost_sum_overflow: costs sum to 9223372036854775812")
 
 
+def test_solve_flags_set_every_config_field():
+    args = cli._build_parser().parse_args([
+        "solve", "--instance", "x.gub", "--score", "none", "--time-limit", "5",
+        "--seed", "3", "--neighborhood", "1flip", "--no-path-relinking",
+        "--uniform-greedy", "--target", "8", "--max-iterations", "2"])
+    cfg, default = cli._solve_config(args), SolverConfig()
+    for field in dataclasses.fields(SolverConfig):
+        assert getattr(cfg, field.name) != getattr(default, field.name), field.name
+
+
 def test_solve_rejects_bad_config(t1_file, capsys):
     rc = cli.main(["solve", "--instance", t1_file, "--time-limit", "-1"])
     assert rc == 1
@@ -225,6 +244,16 @@ def test_generate_manual_params(tmp_path, capsys):
     assert "wrote" in printed and "density:" in printed
     inst = gio.read_gub(out)
     assert (inst.m, inst.n, inst.k) == (12, 24, 4)
+
+
+def test_generate_rejects_too_few_columns(tmp_path, capsys):
+    out = tmp_path / "x.gub"
+    rc = cli.main(["generate", "--rows", "3", "--cols", "4", "--density", "0.5",
+                   "--block-size", "1", "--cap", "1", "--demand-range", "5", "5",
+                   "--out", str(out)])
+    assert rc == 1
+    assert "cols must be at least" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_unknown_class(tmp_path, capsys):

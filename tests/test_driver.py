@@ -1,13 +1,14 @@
 """End-to-end solver runs on hand-checkable instances."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from gubcover import model
+from gubcover import driver, model, weighting
 from gubcover import io as gio
 from gubcover.driver import SolverConfig
 from gubcover.model import Instance, as_bool
-from gubcover.relaxation import SubgradientParams
 
 import oracle
 from conftest import random_instance, solve_checked
@@ -77,14 +78,7 @@ def test_reduction_schemes_track_core_sizes(t1):
 
 def test_bound_below_objective_when_feasible(t1):
     res = solve_checked(t1, quick())
-    assert res.lower_bound is not None
     assert res.lower_bound <= res.objective + 1e-9
-
-
-def test_compute_bound_off(t1):
-    res = solve_checked(t1, quick(compute_bound=False))
-    assert res.lower_bound is None
-    assert res.objective == 8
 
 
 def test_determinism_same_seed(t1):
@@ -176,19 +170,10 @@ def test_config_validation():
         SolverConfig(neighborhood="3flip").check()
     nan, inf = float("nan"), float("inf")
     for bad in ({"time_limit": nan}, {"time_limit": nan, "max_iterations": 3},
-                {"time_limit": inf}, {"core_multiplier": 0},
-                {"max_iterations": -1}, {"weight_delta": -1.0},
-                {"weight_delta": nan}, {"weight_delta": inf}):
+                {"time_limit": inf}, {"max_iterations": -1},
+                {"greedy": "fancy"}):
         with pytest.raises(ValueError):
             SolverConfig(**bad).check()
-    for bad in ({"refresh": 0, "pricing": "on"}, {"refresh": -1},
-                {"core_factor": 0}, {"halve_after": 0}, {"step_init": 0.0},
-                {"step_init": -1.0}, {"step_init": nan}, {"step_init": inf},
-                {"step_min": -0.1}, {"step_min": nan}, {"step_min": inf},
-                {"pricing": "sometimes"}, {"max_iters": -1}):
-        with pytest.raises(ValueError):
-            SolverConfig(subgradient=SubgradientParams(**bad)).check()
-    SolverConfig(subgradient=SubgradientParams(step_min=0.0, max_iters=0)).check()
     # an iteration cap bounds the run on its own
     SolverConfig(time_limit=inf, max_iterations=2).check()
 
@@ -248,11 +233,13 @@ PINNED = {
 
 
 @pytest.mark.parametrize("score,seed", sorted(PINNED))
-def test_pinned_runs(score, seed):
+def test_pinned_runs(score, seed, monkeypatch):
+    # frozen with 10 non-improving rounds per search call, not the default 50
+    monkeypatch.setattr(driver, "wls", functools.partial(weighting.wls, window=10))
     inst, _ = gio.generate(gio.GeneratorParams(rows=60, cols=300, density=0.1,
                                                block_size=10, cap=3, seed=5))
     res = solve_checked(inst, SolverConfig(score=score, seed=seed, max_iterations=4,
-                                                  time_limit=1e6, window=10))
+                                           time_limit=1e6))
     want = PINNED[(score, seed)]
     assert res.objective == want["objective"]
     assert res.lower_bound == want["lower_bound"]

@@ -194,6 +194,17 @@ def test_generator_rejects_bad_params():
                         block_size=10, cap=1).check()
 
 
+def test_generator_rejects_rows_it_cannot_cover():
+    # each row gets max(2, demand) distinct covering columns, so fewer
+    # columns than that would leave the coverage repair looping forever
+    for cols, demand_hi in ((4, 5), (1, 1)):
+        with pytest.raises(ValueError, match="cols must be at least"):
+            GeneratorParams(rows=3, cols=cols, density=0.5, block_size=1, cap=1,
+                            demand_lo=demand_hi, demand_hi=demand_hi).check()
+    GeneratorParams(rows=3, cols=5, density=0.5, block_size=1, cap=1,
+                    demand_lo=5, demand_hi=5).check()
+
+
 def test_result_serialization(tmp_path):
     payload = {
         "objective": 8, "feasible": True, "penalized": 8.0, "lower_bound": 6.0,

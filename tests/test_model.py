@@ -29,6 +29,15 @@ def test_instance_arrays_are_frozen(t1):
         t1.demand[0] = 99
 
 
+def test_instance_leaves_caller_arrays_writeable():
+    cost, demand = np.array([4, 3]), np.array([1])
+    inst = Instance.from_columns(cost, [[0], [0]], demand, [(1, [0, 1])])
+    assert cost.flags.writeable and demand.flags.writeable
+    assert not (inst.cost.flags.writeable or inst.demand.flags.writeable)
+    cost[0] = 1
+    assert list(inst.cost) == [4, 3]
+
+
 def test_density(t1):
     assert t1.density() == pytest.approx(7 / 12)
 

@@ -5,6 +5,7 @@ import pytest
 
 from gubcover import model, reduction
 from gubcover.model import as_bool
+from gubcover.relaxation import reduced_costs
 
 from conftest import random_gub_feasible, random_instance, random_weights
 
@@ -91,8 +92,9 @@ def test_apply_fixing_empty_is_identity(t1):
 
 
 def test_lagrangian_scores(t1):
+    # the lagrangian scheme scores with pseudo_scores under the multipliers
     u = np.array([2.0, 2.0, 2.0])
-    assert list(reduction.lagrangian_scores(t1, u)) == [0, -1, 1, -1]
+    assert list(reduction.pseudo_scores(t1, u)) == [0, -1, 1, -1]
 
 
 def test_normalized_scores_frozen(t1):
@@ -113,7 +115,7 @@ def test_normalized_never_below_lagrangian():
         inst = random_instance(rng)
         u = rng.uniform(0, 10, size=inst.m)
         rho = reduction.normalized_scores(reduction.apply_fixing(inst, []), u)
-        ctil = reduction.lagrangian_scores(inst, u)
+        ctil = reduced_costs(inst, u)
         assert np.all(rho >= ctil - 1e-9)
         # the shift is constant per block, so block argmins agree
         for h in range(inst.k):
@@ -124,7 +126,7 @@ def test_normalized_never_below_lagrangian():
 def normalized_reference(red, u):
     """Per-block loop: theta is the residual-cap-th smallest free reduced cost."""
     inst = red.inst
-    rc = reduction.reduced_costs(inst, u)
+    rc = reduced_costs(inst, u)
     theta = np.zeros(inst.k)
     for h in range(inst.k):
         members = inst.block_cols[h]
@@ -163,7 +165,7 @@ def test_normalized_equals_lagrangian_on_singleton_blocks():
     for _ in range(10):
         u = rng.uniform(0, 10, size=3)
         assert np.array_equal(reduction.normalized_scores(reduction.apply_fixing(inst, []), u),
-                              reduction.lagrangian_scores(inst, u))
+                              reduced_costs(inst, u))
 
 
 def test_pseudo_scores(t1):
@@ -172,7 +174,7 @@ def test_pseudo_scores(t1):
         -24, -25, -23, -13]
     u = np.array([1.5, 0.5, 2.0])
     assert np.array_equal(reduction.pseudo_scores(t1, u),
-                          reduction.lagrangian_scores(t1, u))
+                          reduced_costs(t1, u))
 
 
 def test_build_core_t1_keeps_everything(t1):

@@ -62,7 +62,7 @@ def test_increase_weights_frozen():
     inst = Instance.from_columns([4, 3, 5, 1], [[0, 1], [1, 2], [0, 2], [2]],
                                  [2, 1, 2], [(1, [0, 1]), (2, [2, 3])])
     state = ls.SearchState(inst, np.full(3, 10.0), x0=as_bool(4, [1]))
-    assert weighting.increase_weights(state, delta=0.2)
+    assert weighting.increase_weights(state)
     assert list(state.w) == [12.0, 10.0, 11.0]
 
 
