@@ -14,6 +14,7 @@ import concurrent.futures
 import csv
 import functools
 import glob
+import math
 import os
 import sys
 from pathlib import Path
@@ -115,6 +116,8 @@ def cmd_generate(args) -> int:
     if args.klass:
         if args.klass not in CLASS_SHAPES:
             return _fail(f"unknown class {args.klass!r}")
+        if args.seed < 0 or args.index < 0:
+            return _fail("--seed and --index must be non-negative")
         rows, cols, density = CLASS_SHAPES[args.klass]
         cap, block = CLASS_BLOCKS[args.klass][args.type]
         # each (class, type, index, seed) combination gets its own stream
@@ -211,20 +214,42 @@ BENCH_FIELDS = [
 
 
 def _read_best_known(path):
+    """Instance name -> best known value, from `name,value` lines; lines
+    starting with # are comments.  ValueError names the first bad line."""
     best = {}
-    with open(path) as fh:
-        for row in csv.reader(fh):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            best[row[0].strip()] = float(row[1])
+            where = f"{path} line {reader.line_num}"
+            if len(row) < 2:
+                raise ValueError(f"{where}: expected name,value")
+            try:
+                value = float(row[1])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{where}: value {row[1].strip()!r} is not a finite number")
+            best[row[0].strip()] = value
     return best
 
 
 def cmd_bench(args) -> int:
+    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if not schemes:
+        return _fail("--schemes names no scheme")
+    if args.seeds < 1:
+        return _fail("--seeds must be at least 1")
+    if args.workers < 1:
+        return _fail("--workers must be at least 1")
+    try:
+        best_known = _read_best_known(args.best_known) if args.best_known else {}
+    except (OSError, ValueError) as err:
+        return _fail(str(err))
     paths = sorted(glob.glob(os.path.join(args.instances, args.glob)))
     if not paths:
         return _fail(f"no instances matching {args.glob!r} under {args.instances}")
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     tasks = []
     for path in paths:
         limit = args.time_limit
@@ -248,7 +273,6 @@ def cmd_bench(args) -> int:
         _load_once.cache_clear()
     rows.sort(key=lambda r: (r["instance"], r["scheme"], r["seed"]))
 
-    best_known = _read_best_known(args.best_known) if args.best_known else {}
     for row in rows:
         ref = best_known.get(row["instance"]) or best_known.get(
             os.path.splitext(row["instance"])[0]

@@ -152,14 +152,12 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
         outer += 1
         if cfg.score != "none":
             base = w_cur if cfg.score == "pseudo" else sres.u
-            fres = reduction.fix_columns(inst, x_star, x_hat, base, rng)
-            if fres.exhausted:
-                fix_exhaustions += 1
-            red = reduction.apply_fixing(inst, fres.fixed)
+            red, exhausted = reduction.fix_columns(inst, x_star, x_hat, base, rng)
+            fix_exhaustions += exhausted
             if cfg.score == "normalized":
-                scores = reduction.normalized_scores(red, fres.scores_u)
+                scores = reduction.normalized_scores(red, base)
             else:
-                scores = reduction.pseudo_scores(inst, fres.scores_u)
+                scores = reduction.pseudo_scores(red, base)
             core = reduction.build_core(red, scores, x_star, x_hat)
             core_fractions.append(core.sum() / inst.n if inst.n else 0.0)
             sub, cols = red.restrict(core)

@@ -343,6 +343,8 @@ class GeneratorParams:
         if self.cols < max(2, self.demand_hi):
             raise ValueError("cols must be at least max(2, demand_hi): every row "
                              "gets that many distinct covering columns")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         return self
 
 

@@ -68,12 +68,15 @@ class SearchState:
         sel = np.flatnonzero(self.x)
         self.blk = np.bincount(inst.block_of[sel], minlength=inst.k).astype(np.int64)
         self.cost = int(inst.cost[sel].sum())
-        short = np.maximum(self.b - self.s, 0)
-        self.viol = int(short.sum())
-        self.zhat = self.cost + float(np.dot(self.w, short))
-        a = inst.matrix()
+        self.viol = int(np.maximum(self.b - self.s, 0).sum())
+        self._build_tables()
+
+    def _build_tables(self):
+        """Rebuild the dp tables and zhat from s and the current weights."""
+        a = self.inst.matrix()
         self.dp_up = (self.w * (self.s < self.b)) @ a
         self.dp_down = (self.w * (self.s <= self.b)) @ a
+        self.resync_zhat()
 
     def resync_zhat(self):
         """Recompute the scalar penalized value from s; cheap drift guard."""
@@ -83,10 +86,7 @@ class SearchState:
     def set_weights(self, w):
         """Install a new weight vector and rebuild the dp tables."""
         self.w = np.array(w, dtype=float)
-        a = self.inst.matrix()
-        self.dp_up = (self.w * (self.s < self.b)) @ a
-        self.dp_down = (self.w * (self.s <= self.b)) @ a
-        self.resync_zhat()
+        self._build_tables()
 
     def scale_weights(self, factor):
         """Uniform rescaling; the dp tables scale along, no rebuild needed."""
@@ -148,7 +148,7 @@ class SearchState:
             elif si == b[i] + 1:
                 self.dp_down[inst.row_cols[i]] -= w[i]
 
-    def _flip_down(self, j, patches=None):
+    def _flip_down(self, j):
         inst = self.inst
         assert self.x[j]
         self.zhat += -self.costf[j] + self.dp_down[j]
@@ -162,37 +162,32 @@ class SearchState:
             if si < b[i]:
                 self.viol += 1
             if si == b[i] - 1:
-                dp = self.dp_up
+                self.dp_up[inst.row_cols[i]] += w[i]
             elif si == b[i]:
-                dp = self.dp_down
-            else:
-                continue
-            cols = inst.row_cols[i]
-            if patches is not None:
-                patches.append((dp, cols, dp[cols].copy()))
-            dp[cols] += w[i]
+                self.dp_down[inst.row_cols[i]] += w[i]
 
     def trial_flip_down(self, j):
         """Flip selected j down, remembering enough to undo it exactly.
 
         Returns (opened_rows, undo).  opened_rows are the covered rows that
         drop to demand-1, whose adjacent columns get more attractive to add.
-        undo restores every touched cell from saved copies, so undo_trial is
-        bit-exact even with real-valued weights.  The swap scan applies its
-        accepted swaps through this method, and perfbench's traced run counts
-        them as its calls less those of undo_trial.
+        undo holds copies of the dp tables and of j's coverage counts, so
+        undo_trial is bit-exact even with real-valued weights.  The swap
+        scan applies its accepted swaps through this method, and perfbench's
+        traced run counts them as its calls less those of undo_trial.
         """
         rows = self.inst.col_rows[j]
         undo = {"j": j, "cost": self.cost, "viol": self.viol, "zhat": self.zhat,
-                "s": self.s[rows].copy(), "patches": []}
+                "s": self.s[rows].copy(),
+                "dp_up": self.dp_up.copy(), "dp_down": self.dp_down.copy()}
         opened = rows[self.s[rows] == self.b[rows]]
-        self._flip_down(j, undo["patches"])
+        self._flip_down(j)
         return opened, undo
 
     def undo_trial(self, undo):
         j = undo["j"]
-        for arr, idx, saved in reversed(undo["patches"]):
-            arr[idx] = saved
+        self.dp_up[:] = undo["dp_up"]
+        self.dp_down[:] = undo["dp_down"]
         self.s[self.inst.col_rows[j]] = undo["s"]
         self.x[j] = True
         self.blk[self.inst.block_of[j]] += 1

@@ -5,9 +5,11 @@ from the subgradient phase, or the penalty weights under the pseudo
 scheme.  Fixing locks in columns that both guiding solutions agree on until a
 fifth of the rows are covered by the fixed set alone, which leaves a
 ReducedProblem: the residual demands and caps over the non-fixed columns.
-The core then keeps only the attractively scored free columns around the
-guiding solutions, and ReducedProblem.restrict compacts it into a plain
-sub-Instance for the search to run on.
+The scores zero the rows the fixed columns satisfy (residual demand 0), so
+those rows stop attracting columns.  The core then keeps only the
+attractively scored free columns around the guiding solutions, and
+ReducedProblem.restrict compacts it into a plain sub-Instance for the
+search to run on.
 """
 
 from __future__ import annotations
@@ -24,25 +26,17 @@ from .relaxation import rank_within, reduced_costs
 FIX_FRACTION = 0.2  # fixing stops once this share of the rows is covered
 
 
-@dataclass
-class FixResult:
-    fixed: np.ndarray     # sorted fixed column indices
-    scores_u: np.ndarray  # input vector with the satisfied rows zeroed
-    exhausted: bool       # candidate pool ran dry before the coverage target
-
-
 def fix_columns(inst, x_star, x_hat, u, rng):
     """Sample columns selected by both solutions into the fixed set.
 
     Draws without replacement, favoring low reduced cost under u, until
     the rows fully covered by the fixed set alone reach
-    ceil(FIX_FRACTION * m).  Those rows' entries are zeroed in the
-    returned copy of u so they stop attracting further columns in the
-    scores.
+    ceil(FIX_FRACTION * m).  Returns (red, exhausted): the ReducedProblem
+    of the fixed columns (apply_fixing), and whether the candidate pool ran
+    dry before the coverage target.
     """
-    u = np.asarray(u, dtype=float)
     pool = list(np.flatnonzero(np.asarray(x_star, bool) & np.asarray(x_hat, bool)))
-    rc = reduced_costs(inst, u)
+    rc = reduced_costs(inst, np.asarray(u, dtype=float))
     target = math.ceil(FIX_FRACTION * inst.m)
     covered = np.zeros(inst.m, dtype=np.int64)
     satisfied = int((inst.demand <= 0).sum())
@@ -66,9 +60,7 @@ def fix_columns(inst, x_star, x_hat, u, rng):
             covered[i] += 1
             if covered[i] == inst.demand[i]:
                 satisfied += 1
-    scores_u = u.copy()
-    scores_u[covered >= inst.demand] = 0.0
-    return FixResult(np.asarray(sorted(fixed), dtype=np.int64), scores_u, exhausted)
+    return apply_fixing(inst, np.asarray(fixed, dtype=np.int64)), exhausted
 
 
 @dataclass
@@ -77,6 +69,11 @@ class ReducedProblem:
     demand: np.ndarray    # residual demands after the fixed coverage
     cap: np.ndarray       # residual block caps
     free: np.ndarray      # bool mask of the non-fixed columns
+
+    def open_rows(self, u):
+        """u with the rows the fixed columns satisfy zeroed, so that those
+        rows stop attracting further columns in the scores."""
+        return np.where(self.demand > 0, u, 0.0)
 
     def restrict(self, core):
         """(sub, cols): the core columns (inside `free`) as a plain Instance.
@@ -120,7 +117,7 @@ def normalized_scores(red: ReducedProblem, u):
     and keep their raw values.
     """
     inst = red.inst
-    rc = reduced_costs(inst, u)
+    rc = reduced_costs(inst, red.open_rows(u))
     free = np.flatnonzero(red.free)
     h = inst.block_of[free]
     first_out = rank_within(h, rc[free]) == red.cap[h]
@@ -133,16 +130,14 @@ def normalized_scores(red: ReducedProblem, u):
     return rho
 
 
-def pseudo_scores(inst, u):
-    """Reduced costs under u, the scores of both the pseudo and the
-    lagrangian scheme.
+def pseudo_scores(red: ReducedProblem, u):
+    """Reduced costs under u with the satisfied rows zeroed, the scores of
+    both the pseudo and the lagrangian scheme.
 
-    The two schemes differ only in u (the penalty weights or the
-    subgradient multipliers, satisfied rows zeroed by fix_columns).  It is
-    reduced_costs under its own name so that scoring stays a layer of its
-    own in profiles: perfbench/spans.py times it by this name.
+    The two schemes differ only in u: the penalty weights or the
+    subgradient multipliers.
     """
-    return reduced_costs(inst, u)
+    return reduced_costs(red.inst, red.open_rows(u))
 
 
 def build_core(red: ReducedProblem, scores, x_star, x_hat, multiplier=10):

@@ -256,6 +256,24 @@ def test_generate_rejects_too_few_columns(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--class", "G", "--index", "-1"],
+                                   ["--class", "G", "--seed", "-3"]])
+def test_generate_class_rejects_negative_seed_or_index(tmp_path, capsys, flags):
+    out = tmp_path / "x.gub"
+    assert cli.main(["generate", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --seed and --index must be non-negative\n"
+    assert not out.exists()
+
+
+def test_generate_manual_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.gub"
+    assert cli.main(["generate", "--rows", "12", "--cols", "24", "--density", "0.3",
+                     "--block-size", "6", "--cap", "3", "--seed", "-3",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
+    assert not out.exists()
+
+
 def test_generate_unknown_class(tmp_path, capsys):
     rc = cli.main(["generate", "--class", "Z", "--out", str(tmp_path / "z.gub")])
     assert rc == 1
@@ -337,6 +355,50 @@ def test_bench_gap_against_best_known(t1_file, tmp_path, capsys):
     assert runs[0]["objective"] == "8"
     # (8 - 10) / 8 * 100
     assert runs[0]["gap_pct"] == "-25.000"
+
+
+@pytest.fixture()
+def no_solve(monkeypatch):
+    """Fail the test on any solve: bad bench input must stop before the runs."""
+    def refuse(inst, cfg):
+        raise AssertionError("bench ran a solve")
+
+    monkeypatch.setattr(cli, "solve", refuse)
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file or directory"),
+    ("# name,value\nt1.gub\n", "best.csv line 2: expected name,value"),
+    ("t1.gub,10\nt2.gub,abc\n", "best.csv line 2: value 'abc' is not a finite number"),
+    ("t1.gub,nan\n", "best.csv line 1: value 'nan' is not a finite number"),
+])
+def test_bench_checks_best_known_first(t1_file, tmp_path, capsys, no_solve,
+                                       content, message):
+    best = tmp_path / "best.csv"
+    if content is not None:
+        best.write_text(content)
+    out = tmp_path / "bench.csv"
+    rc = cli.main(["bench", "--instances", str(tmp_path), "--time-limit", "0.3",
+                   "--best-known", str(best), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds", "0"], "--seeds must be at least 1"),
+    (["--schemes", ""], "--schemes names no scheme"),
+    (["--schemes", " , "], "--schemes names no scheme"),
+    (["--workers", "0"], "--workers must be at least 1"),
+])
+def test_bench_rejects_empty_grid(t1_file, tmp_path, capsys, no_solve, flags, message):
+    out = tmp_path / "bench.csv"
+    rc = cli.main(["bench", "--instances", str(tmp_path), "--time-limit", "0.3",
+                   *flags, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_bench_no_matching_instances(tmp_path, capsys):

@@ -192,6 +192,9 @@ def test_generator_rejects_bad_params():
     with pytest.raises(ValueError):
         GeneratorParams(rows=10, cols=100, density=1.5,
                         block_size=10, cap=1).check()
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        GeneratorParams(rows=10, cols=100, density=0.1,
+                        block_size=10, cap=1, seed=-3).check()
 
 
 def test_generator_rejects_rows_it_cannot_cover():

@@ -7,36 +7,41 @@ from gubcover import model, reduction
 from gubcover.model import as_bool
 from gubcover.relaxation import reduced_costs
 
+import oracle
 from conftest import random_gub_feasible, random_instance, random_weights
+
+
+def fixed_of(red):
+    return np.flatnonzero(~red.free)
 
 
 def test_fix_columns_t1_frozen(t1):
     x = as_bool(4, [1, 2])
     u = np.array([2.0, 2.0, 2.0])
-    fr = reduction.fix_columns(t1, x, x, u, np.random.default_rng(0))
+    red, exhausted = reduction.fix_columns(t1, x, x, u, np.random.default_rng(0))
     # reduced costs on the pool {1, 2} are (-1, 1): column 1 draws all the
     # probability mass, and fixing it satisfies row 1, enough for the
     # ceil(0.2 * 3) = 1 row target
-    assert list(fr.fixed) == [1]
-    assert list(fr.scores_u) == [2.0, 0.0, 2.0]
-    assert not fr.exhausted
+    assert list(fixed_of(red)) == [1]
+    assert list(red.open_rows(u)) == [2.0, 0.0, 2.0]
+    assert not exhausted
 
 
 def test_fix_columns_empty_pool(t1):
     a = as_bool(4, [1, 2])
     b = as_bool(4, [0, 3])
     u = np.ones(3)
-    fr = reduction.fix_columns(t1, a, b, u, np.random.default_rng(0))
-    assert fr.fixed.size == 0
-    assert list(fr.scores_u) == [1.0, 1.0, 1.0]
+    red, _ = reduction.fix_columns(t1, a, b, u, np.random.default_rng(0))
+    assert fixed_of(red).size == 0
+    assert list(red.open_rows(u)) == [1.0, 1.0, 1.0]
 
 
 def test_fix_columns_exhausted_pool(t1):
     # pool {3} covers row 2 once against demand 2: no row ever satisfied
     x = as_bool(4, [3])
-    fr = reduction.fix_columns(t1, x, x, np.ones(3), np.random.default_rng(0))
-    assert list(fr.fixed) == [3]
-    assert fr.exhausted
+    red, exhausted = reduction.fix_columns(t1, x, x, np.ones(3), np.random.default_rng(0))
+    assert list(fixed_of(red)) == [3]
+    assert exhausted
 
 
 def test_fix_columns_sampling_properties():
@@ -47,27 +52,29 @@ def test_fix_columns_sampling_properties():
         b = random_gub_feasible(rng, inst)
         pool = set(np.flatnonzero(a & b))
         u = rng.uniform(0, 5, size=inst.m)
-        fr = reduction.fix_columns(inst, a, b, u, rng)
-        fixed = list(fr.fixed)
-        assert len(fixed) == len(set(fixed))  # without replacement
+        red, _ = reduction.fix_columns(inst, a, b, u, rng)
+        fixed = fixed_of(red)
         assert set(fixed) <= pool
+        # without replacement: each fixed column takes one unit of its cap
+        assert np.array_equal(
+            red.cap, inst.cap - np.bincount(inst.block_of[fixed], minlength=inst.k))
         # multipliers are zeroed exactly on the rows F satisfies
         cov = model.coverage_counts(inst, as_bool(inst.n, fixed))
         satisfied = cov >= inst.demand
-        assert np.all(fr.scores_u[satisfied] == 0)
-        assert np.all(fr.scores_u[~satisfied] == u[~satisfied])
+        assert np.all(red.open_rows(u)[satisfied] == 0)
+        assert np.all(red.open_rows(u)[~satisfied] == u[~satisfied])
 
 
 def test_fix_columns_deterministic_per_seed(t1):
     x = as_bool(4, [1, 2])
     u = np.zeros(3)  # equal reduced costs: uniform draw
-    picks = {tuple(reduction.fix_columns(t1, x, x, u,
-                                         np.random.default_rng(s)).fixed)
+    picks = {tuple(fixed_of(reduction.fix_columns(t1, x, x, u,
+                                                  np.random.default_rng(s))[0]))
              for s in range(20)}
     assert picks <= {(1,), (2,), (1, 2)}
-    one = reduction.fix_columns(t1, x, x, u, np.random.default_rng(3))
-    two = reduction.fix_columns(t1, x, x, u, np.random.default_rng(3))
-    assert np.array_equal(one.fixed, two.fixed)
+    one, _ = reduction.fix_columns(t1, x, x, u, np.random.default_rng(3))
+    two, _ = reduction.fix_columns(t1, x, x, u, np.random.default_rng(3))
+    assert np.array_equal(fixed_of(one), fixed_of(two))
 
 
 def test_apply_fixing_frozen(t1):
@@ -94,7 +101,9 @@ def test_apply_fixing_empty_is_identity(t1):
 def test_lagrangian_scores(t1):
     # the lagrangian scheme scores with pseudo_scores under the multipliers
     u = np.array([2.0, 2.0, 2.0])
-    assert list(reduction.pseudo_scores(t1, u)) == [0, -1, 1, -1]
+    assert list(reduction.pseudo_scores(reduction.apply_fixing(t1, []), u)) == [0, -1, 1, -1]
+    # fixing column 1 satisfies row 1, whose multiplier then counts for nothing
+    assert list(reduction.pseudo_scores(reduction.apply_fixing(t1, [1]), u)) == [2, 1, 1, -1]
 
 
 def test_normalized_scores_frozen(t1):
@@ -123,10 +132,12 @@ def test_normalized_never_below_lagrangian():
             assert np.argmin(rho[members]) == np.argmin(ctil[members])
 
 
-def normalized_reference(red, u):
-    """Per-block loop: theta is the residual-cap-th smallest free reduced cost."""
+def normalized_reference(red, u, fixed):
+    """Per-block loop: theta is the residual-cap-th smallest free reduced
+    cost, under u zeroed on the rows the fixed columns satisfy."""
     inst = red.inst
-    rc = reduced_costs(inst, u)
+    s, _ = oracle.recount(inst, as_bool(inst.n, fixed))
+    rc = reduced_costs(inst, np.where(s >= inst.demand, 0.0, u))
     theta = np.zeros(inst.k)
     for h in range(inst.k):
         members = inst.block_cols[h]
@@ -145,14 +156,40 @@ def test_normalized_matches_block_loop():
         inst = random_instance(rng)
         # fixing a random cap-feasible set leaves residual caps from 0 up to
         # at least the number of free members
-        red = reduction.apply_fixing(inst, np.flatnonzero(random_gub_feasible(rng, inst)))
+        fixed = np.flatnonzero(random_gub_feasible(rng, inst))
+        red = reduction.apply_fixing(inst, fixed)
         u = rng.integers(0, 8, size=inst.m).astype(float)
         assert np.array_equal(reduction.normalized_scores(red, u),
-                              normalized_reference(red, u))
+                              normalized_reference(red, u, fixed))
         free_count = np.bincount(inst.block_of[red.free], minlength=inst.k)
         residual |= {"zero" if c == 0 else "all" if c >= f else "some"
                      for c, f in zip(red.cap, free_count)}
     assert residual == {"zero", "all", "some"}
+
+
+def test_scores_ignore_satisfied_rows():
+    """u on a row the fixed columns satisfy moves neither score; u on any
+    other row moves the pseudo score, and sometimes the normalized one."""
+    rng = np.random.default_rng(56)
+    nudged_satisfied = moved_normalized = 0
+    for _ in range(50):
+        inst = random_instance(rng)
+        red = reduction.apply_fixing(inst, np.flatnonzero(random_gub_feasible(rng, inst)))
+        u = rng.uniform(0, 5, size=inst.m)
+        nudge = rng.uniform(1, 5, size=inst.m)
+        satisfied = red.demand == 0
+        nudged_satisfied += satisfied.sum()
+        for score in (reduction.pseudo_scores, reduction.normalized_scores):
+            assert np.array_equal(score(red, np.where(satisfied, u + nudge, u)),
+                                  score(red, u))
+        for i in np.flatnonzero(~satisfied):
+            v = u.copy()
+            v[i] += nudge[i]
+            assert not np.array_equal(reduction.pseudo_scores(red, v),
+                                      reduction.pseudo_scores(red, u))
+            moved_normalized += not np.array_equal(reduction.normalized_scores(red, v),
+                                                   reduction.normalized_scores(red, u))
+    assert nudged_satisfied > 0 and moved_normalized > 0
 
 
 def test_normalized_equals_lagrangian_on_singleton_blocks():
@@ -169,12 +206,16 @@ def test_normalized_equals_lagrangian_on_singleton_blocks():
 
 
 def test_pseudo_scores(t1):
-    assert list(reduction.pseudo_scores(t1, np.zeros(3))) == [4, 3, 5, 1]
-    assert list(reduction.pseudo_scores(t1, np.full(3, 14.0))) == [
+    red = reduction.apply_fixing(t1, [])
+    assert list(reduction.pseudo_scores(red, np.zeros(3))) == [4, 3, 5, 1]
+    assert list(reduction.pseudo_scores(red, np.full(3, 14.0))) == [
         -24, -25, -23, -13]
     u = np.array([1.5, 0.5, 2.0])
-    assert np.array_equal(reduction.pseudo_scores(t1, u),
+    assert np.array_equal(reduction.pseudo_scores(red, u),
                           reduced_costs(t1, u))
+    # column 1 fixed: row 1 is satisfied and drops out of the reduced costs
+    assert np.array_equal(reduction.pseudo_scores(reduction.apply_fixing(t1, [1]), u),
+                          reduced_costs(t1, np.array([1.5, 0.0, 2.0])))
 
 
 def test_build_core_t1_keeps_everything(t1):
