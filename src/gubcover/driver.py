@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import subprocess
 import time
 from dataclasses import asdict, dataclass
@@ -52,9 +53,19 @@ class SolverConfig:
             raise ValueError("time_limit must be positive")
         if math.isinf(self.time_limit) and self.max_iterations is None:
             raise ValueError("an infinite time_limit needs max_iterations")
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        if self.max_iterations is not None and (
+                not _is_int(self.max_iterations) or self.max_iterations < 0):
+            raise ValueError("max_iterations must be an integer >= 0")
+        if self.target is not None and math.isnan(self.target):
+            raise ValueError("target must not be NaN")
         return self
+
+
+def _is_int(value) -> bool:
+    """An integer of any kind except bool, which is an int to Python."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass

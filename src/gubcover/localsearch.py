@@ -22,9 +22,16 @@ dp entries of their adjacent columns.
 
 Pair moves are priced from the same tables without flipping anything:
 dropping j1 and adding j2 gains the two single-flip gains less the weight
-of the rows both cover at s == demand.  The swap scan adds those rows into
-each partner's gain in closed form, and the saturated-block pass skips the
-blocks whose lower bound (_pair_bounds) rules out an improving swap.
+of the rows both cover at s == demand.  Each pair phase first screens all
+of its candidates at once: the swap scan with one sparse product that
+gives every candidate's best partner gain (_scan_screen), the
+saturated-block pass with segment argmins over the blocks and a sorted-key
+match of the shared rows (_saturated_screen).  A screen sums in another
+order than the exact pricing, so it lowers each gain by a margin of 1e-9
+times the magnitudes of its terms, far more than the order can change.
+Only the candidates that still beat the gain floor are priced exactly, by
+_best_partner or by _block_argmin_pair with two_flip_delta, and the exact
+gain decides, so the moves made are those of pricing every candidate.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import coverage_counts
 
@@ -266,19 +274,22 @@ def _step_drop(state, tracker, budget):
     return moved
 
 
-def _block_min(state, values):
-    """Minimum of values[:, members] per block, as a (len(values), k) array.
+def _gather(csr, owners):
+    """The lists of csr named by owners, back to back.
 
-    A segment reduction over block_csr; an empty block, which restrict can
-    leave behind, gets +inf.
+    Returns (pos, entries): entries[e] belongs to list owners[pos[e]], and
+    pos ascends.
     """
-    csr = state.inst.block_csr
-    starts = csr.ptr[:-1]
-    full = starts < csr.ptr[1:]
-    out = np.full((len(values), csr.count), np.inf)
-    if csr.ind.size:
-        out[:, full] = np.minimum.reduceat(values[:, csr.ind], starts[full], axis=1)
-    return out
+    lo = csr.ptr[owners]
+    count = csr.ptr[owners + 1] - lo
+    pos = np.repeat(np.arange(owners.size), count)
+    shift = lo - (np.cumsum(count) - count)
+    return pos, csr.ind[np.arange(pos.size) + shift[pos]]
+
+
+def _starts(pos, size):
+    """Where each of size segments starts in the ascending array pos."""
+    return np.searchsorted(pos, np.arange(size))
 
 
 def _block_argmin_pair(state, h):
@@ -291,21 +302,57 @@ def _block_argmin_pair(state, h):
     return int(j1), int(j2)
 
 
-def _pair_bounds(state):
-    """Per block, a lower bound on the gain of its argmin pair, and a margin.
+def _first_argmin(values, starts):
+    """Per segment of values, the first index holding the segment minimum.
 
-    The bound is (least drop gain) + (least add gain) - (largest weight of
-    exactly-covered rows, dp_down - dp_up, over the selected members).  The
-    pair's shared exactly-covered rows weigh at most as much as all of the
-    dropped column's, so the bound never exceeds the pair's gain.  The
-    margin covers the rounding that the dp tables carry.
+    The segments start at starts, ascending and all nonempty.  Ties go to
+    the lowest index, as np.argmin breaks them.
     """
-    x = state.x
-    parts = _block_min(state, np.stack([
-        np.where(x, -state.costf + state.dp_down, np.inf),
-        np.where(x, np.inf, state.costf - state.dp_up),
-        np.where(x, state.dp_up - state.dp_down, np.inf)]))
-    return parts.sum(axis=0), 1e-9 * np.abs(parts).sum(axis=0)
+    low = np.minimum.reduceat(values, starts)
+    at = np.repeat(low, np.diff(np.append(starts, values.size)))
+    index = np.where(values == at, np.arange(values.size), values.size)
+    return np.minimum.reduceat(index, starts)
+
+
+def _saturated_screen(state):
+    """Saturated blocks with both kinds of member, and their screened gain.
+
+    Returns (blocks, j1, j2, low).  (j1[p], j2[p]) is block blocks[p]'s
+    argmin pair, the pair _block_argmin_pair picks: a segment argmin of
+    the drop and the add gains over block_csr, ties to the lowest member.
+    low[p] is the pair's gain, drop gain plus add gain less the weight of
+    the rows both columns cover at s == b, lowered by a margin.  That is
+    the gain two_flip_delta computes, summed in another order, and the
+    margin, 1e-9 times the magnitudes of the terms, is far above what the
+    order can change.  So a block whose low clears the gain floor has no
+    improving argmin pair.
+    """
+    inst = state.inst
+    size = np.diff(inst.block_csr.ptr)
+    blocks = np.flatnonzero((state.blk == state.d) & (state.blk > 0) & (size > state.blk))
+    pos, members = _gather(inst.block_csr, blocks)
+    starts = _starts(pos, blocks.size)
+    picked = state.x[members]
+    down = np.where(picked, -state.costf[members] + state.dp_down[members], np.inf)
+    up = np.where(picked, np.inf, state.costf[members] - state.dp_up[members])
+    a1 = _first_argmin(down, starts)
+    a2 = _first_argmin(up, starts)
+    # the rows of j1 at s == b that j2 covers too, matched on sorted
+    # (pair, row) keys
+    p1, r1 = _gather(inst.col_csr, members[a1])
+    at = state.s[r1] == state.b[r1]
+    key1 = p1[at] * inst.m + r1[at]
+    p2, r2 = _gather(inst.col_csr, members[a2])
+    key2 = p2 * inst.m + r2
+    hit = np.zeros(key2.size, dtype=bool)
+    if key1.size:
+        hit = key1[np.minimum(np.searchsorted(key1, key2), key1.size - 1)] == key2
+    w = state.w[r2[hit]]
+    corr = np.bincount(p2[hit], weights=w, minlength=blocks.size)
+    spread = np.bincount(p2[hit], weights=np.abs(w), minlength=blocks.size)
+    gain = down[a1] + up[a2] - corr
+    margin = 1e-9 * (np.abs(down[a1]) + np.abs(up[a2]) + spread)
+    return blocks, members[a1], members[a2], gain - margin
 
 
 def _step_swap_saturated(state, tracker, budget):
@@ -315,27 +362,36 @@ def _step_swap_saturated(state, tracker, budget):
     candidate is the pair (cheapest drop, cheapest add); if some improving
     swap exists there with no shared exactly-covered row, that pair is
     improving too, which is what makes checking one pair per block enough.
-    A block whose _pair_bounds bound clears the gain floor cannot improve
-    and is skipped; the bounds are recomputed after every accepted swap.
+
+    _saturated_screen gives every such pair's gain at once, up to float
+    summation order, with a margin that covers the order.  Only the blocks
+    whose screened gain beats the gain floor are priced exactly, with
+    _block_argmin_pair and two_flip_delta, and the exact gain decides.  A
+    skipped block has no improving pair, and the screen is recomputed after
+    every accepted swap, so the pass makes the same swaps, in the same
+    order, as pricing every saturated block.
     """
     moved = False
     while budget[0] > 0:
         updated = False
-        bound, margin = _pair_bounds(state)
-        for h in np.flatnonzero(state.blk == state.d):
-            if budget[0] <= 0:
+        blocks, _, _, low = _saturated_screen(state)
+        p = 0
+        while budget[0] > 0:
+            ahead = np.flatnonzero(low[p:] < -gain_tol(state))
+            if ahead.size == 0:
                 break
-            if not bound[h] < -gain_tol(state) + margin[h]:
-                continue  # also every block with an empty side: its bound is +inf
-            j1, j2 = _block_argmin_pair(state, h)
+            p += int(ahead[0])
+            j1, j2 = _block_argmin_pair(state, blocks[p])
+            p += 1
             if state.two_flip_delta(j1, j2) < -gain_tol(state):
                 state._flip_down(j1)
                 state._flip_up(j2)
                 _observe(tracker, state)
                 budget[0] -= 1
-                updated = True
-                moved = True
-                bound, margin = _pair_bounds(state)
+                updated = moved = True
+                # a swap inside a block leaves every block count, so the
+                # same blocks come back in the same order
+                blocks, _, _, low = _saturated_screen(state)
         if not updated:
             break
     return moved
@@ -375,28 +431,58 @@ def _best_partner(state, j1, d1):
 
 
 def _scan_candidates(state):
-    """Selected columns that could anchor an improving swap, scan-ordered.
+    """The selected columns in scan order: by drop gain, ties to the lowest index."""
+    sel = np.flatnonzero(state.x)
+    return sel[np.argsort(-state.costf[sel] + state.dp_down[sel], kind="stable")]
 
-    For selected j1 the best conceivable pair gain is bounded below by
-    Δẑ_j1↓ + (cheapest add gain) − (total weight of j1's exactly-covered
-    rows), the last term being dp_down − dp_up.  The add-gain floor is the
-    minimum over cap-open blocks, or over j1's own block mates, which the
-    drop itself reopens.  Columns whose bound is nonnegative cannot start
-    an improving swap and are dropped before any partner search.
+
+def _scan_screen(state, cand):
+    """The scan candidates whose best partner could beat their gain floor.
+
+    Gives every candidate's _best_partner gain at once.  E[c, i] = w_i for
+    the rows candidate c opens (its rows at s == b), so L = E @ A holds,
+    for each column j2 covering one of those rows, the weight of the
+    opened rows it covers.  Over the partners _best_partner keeps, the
+    gain is d1 + c_j2 - dp_up[j2] - L[c, j2], summed in another order
+    than _best_partner's, so each gain is lowered by a margin of 1e-9
+    times the magnitudes of its terms, far above what the order can
+    change.  A candidate is kept, in scan order, when its least screened
+    gain is below gain_tol(state, zhat + d1)'s floor.
+
+    The pattern of L is what tells the partners apart, and a sparse
+    product drops an entry whose sum is 0; that only happens when some
+    opened row weighs 0 or less, so such a candidate is always kept.
     """
     inst = state.inst
-    sel = np.flatnonzero(state.x)
-    if sel.size == 0:
-        return sel
-    gains = np.where(~state.x, state.costf - state.dp_up, np.inf)
-    open_blocks = state.blk < state.d
-    open_gain = gains[open_blocks[inst.block_of]].min(initial=np.inf)
-    block_gain = _block_min(state, gains[None])[0]
-    floor = np.minimum(open_gain, block_gain[inst.block_of[sel]])
-    d1 = -state.costf[sel] + state.dp_down[sel]
-    bound = d1 + floor - (state.dp_down[sel] - state.dp_up[sel])
-    keep = sel[bound < 0]
-    return keep[np.lexsort((keep, -state.costf[keep] + state.dp_down[keep]))]
+    pos, rows = _gather(inst.col_csr, cand)
+    at = state.s[rows] == state.b[rows]
+    pos, rows = pos[at], rows[at]
+    w = state.w[rows]
+    ptr = np.append(_starts(pos, cand.size), pos.size)
+    lost = sp.csr_matrix((w, rows, ptr), shape=(cand.size, inst.m)) @ inst.matrix()
+    # every term moves down by 1e-9 of its magnitude: per candidate, per
+    # column and per entry of L
+    d1 = -state.costf[cand] + state.dp_down[cand]
+    add = state.costf - state.dp_up - 1e-9 * (state.costf + np.abs(state.dp_up))
+    open_cols = ~state.x & (state.blk < state.d)[inst.block_of]
+    owner = np.repeat(np.arange(cand.size), np.diff(lost.indptr))
+    j2 = lost.indices
+    part = np.where(open_cols, add, np.inf)[j2]
+    # in j1's own block, which the drop reopens, every unselected member
+    # and j1 itself qualify
+    own = np.flatnonzero(inst.block_of[j2] == inst.block_of[cand][owner])
+    mate, j1 = j2[own], cand[owner[own]]
+    part[own] = np.where(~state.x[mate] | (mate == j1), add[mate], np.inf)
+    gain = ((d1 - 1e-9 * np.abs(d1))[owner] + part
+            - (lost.data + 1e-9 * np.abs(lost.data)))
+    low = np.full(cand.size, np.inf)
+    full = np.flatnonzero(np.diff(lost.indptr))
+    if full.size:
+        low[full] = np.minimum.reduceat(gain, lost.indptr[full])
+    floor = -1e-6 * np.maximum(1.0, np.abs(state.zhat + d1))
+    unsure = np.zeros(cand.size, dtype=bool)
+    unsure[pos[w <= 0]] = True
+    return cand[(low < floor) | unsure]
 
 
 def _step_swap_scan(state, tracker, budget):
@@ -407,10 +493,17 @@ def _step_swap_scan(state, tracker, budget):
     floor of the state after the drop, as trial_flip_down then _flip_up.
     The caller then restarts from the single-flip phases, so at most one
     swap lands here.
+
+    The state does not change before that swap, so _scan_screen runs once,
+    up front, and gives every candidate's best partner gain, up to float
+    summation order and less a margin that covers it.  _best_partner then
+    prices, in scan order, only the candidates the screen keeps, and its
+    exact gain decides.  A dropped candidate has no improving partner, so
+    the first hit is the one pricing every candidate would find.
     """
-    for j1 in _scan_candidates(state):
-        if budget[0] <= 0:
-            break
+    if budget[0] <= 0:
+        return False
+    for j1 in _scan_screen(state, _scan_candidates(state)):
         d1 = state.delta_down(j1)
         best = _best_partner(state, j1, d1)
         if best is not None and best[0] < -gain_tol(state, state.zhat + d1):

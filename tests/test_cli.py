@@ -154,6 +154,18 @@ def test_solve_rejects_bad_config(t1_file, capsys):
     assert "error: time_limit must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be a non-negative integer"),
+    (["--target", "nan"], "target must not be NaN"),
+])
+def test_solve_rejects_bad_config_before_reading(tmp_path, capsys, flags, message):
+    # the instance file does not exist, so only a check made before the
+    # read can word the error
+    rc = cli.main(["solve", "--instance", str(tmp_path / "missing.gub"), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # -- check ---------------------------------------------------------------
 
 

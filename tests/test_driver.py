@@ -174,6 +174,14 @@ def test_config_validation():
                 {"greedy": "fancy"}):
         with pytest.raises(ValueError):
             SolverConfig(**bad).check()
+    for bad, message in (({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
+                         ({"seed": True}, "seed"),
+                         ({"max_iterations": 1.5}, "max_iterations"),
+                         ({"max_iterations": True}, "max_iterations"),
+                         ({"target": nan}, "target")):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**bad).check()
+    SolverConfig(seed=np.int64(3), max_iterations=np.int32(2), target=5.0).check()
     # an iteration cap bounds the run on its own
     SolverConfig(time_limit=inf, max_iterations=2).check()
 

@@ -1,9 +1,10 @@
-"""Closed-form pair moves against the in-place trial search they replace.
+"""Closed-form, screened pair moves against the searches they replace.
 
 The references here are the swap scan that drops each candidate in place,
 reads its partner off the updated dp table and undoes the drop, and the
-saturated-block pass that checks every saturated block.  The solver's
-versions must reach the same decisions bit for bit.
+saturated-block pass that prices every saturated block.  The solver's
+versions must reach the same decisions bit for bit, and its screens must
+never drop a candidate the exact pricing would accept.
 """
 
 import numpy as np
@@ -89,16 +90,16 @@ def random_state(rng, inst=None, integer=False):
     return state
 
 
-def restricted_state(rng):
+def restricted_state(rng, integer=False, cost_hi=20):
     """A state on a restrict() sub-instance that has empty blocks."""
-    inst = random_instance(rng, n=int(rng.choice([12, 24, 36])))
+    inst = random_instance(rng, n=int(rng.choice([12, 24, 36])), cost_hi=cost_hi)
     fixed = np.flatnonzero(random_gub_feasible(rng, inst) & (rng.random(inst.n) < 0.5))
     reduced = apply_fixing(inst, fixed)
     core = reduced.free & (rng.random(inst.n) < 0.7)
     core[inst.block_cols[int(rng.integers(inst.k))]] = False
     sub, _ = reduced.restrict(core)
     assert any(len(m) == 0 for m in sub.block_cols)
-    return random_state(rng, sub)
+    return random_state(rng, sub, integer)
 
 
 def state_key(state):
@@ -151,21 +152,86 @@ def test_swap_scan_matches_trial_scan():
 
 
 @pytest.mark.parametrize("restricted", [False, True])
-def test_pair_bound_below_argmin_pair_gain(restricted):
+def test_saturated_screen_matches_argmin_pair(restricted):
     rng = np.random.default_rng(122 + restricted)
-    checked = 0
+    checked = tied = 0
+    for _ in range(400):
+        integer = bool(rng.integers(2))
+        # few distinct costs and weights make tied gains common
+        few = bool(rng.integers(2))
+        cost_hi = 2 if few else 20
+        state = (restricted_state(rng, integer, cost_hi) if restricted
+                 else random_state(rng, random_instance(rng, cost_hi=cost_hi), integer))
+        if few:
+            state.set_weights(rng.integers(1, 3, size=state.inst.m).astype(float))
+        blocks, j1, j2, low = ls._saturated_screen(state)
+        want = [h for h, members in enumerate(state.inst.block_cols)
+                if state.blk[h] == state.d[h]
+                and state.x[members].any() and not state.x[members].all()]
+        assert blocks.tolist() == want
+        for h, a, b, g in zip(blocks, j1, j2, low):
+            assert (a, b) == ls._block_argmin_pair(state, h)
+            exact = state.two_flip_delta(a, b)
+            assert g <= exact and exact - g < 1e-6 * max(1.0, abs(exact))
+            members = state.inst.block_cols[h]
+            picked, rest = members[state.x[members]], members[~state.x[members]]
+            down = -state.costf[picked] + state.dp_down[picked]
+            up = state.costf[rest] - state.dp_up[rest]
+            tied += (np.count_nonzero(down == down.min()) > 1
+                     or np.count_nonzero(up == up.min()) > 1)
+            checked += 1
+    assert checked > 150 and tied > 15
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_scan_screen_keeps_every_improving_candidate(restricted):
+    rng = np.random.default_rng(126 + restricted)
+    kept = dropped = 0
     for _ in range(300):
-        state = restricted_state(rng) if restricted else random_state(rng)
-        bound, margin = ls._pair_bounds(state)
-        assert np.all(margin >= 0)
-        for h, members in enumerate(state.inst.block_cols):
-            if state.x[members].all() or not state.x[members].any():
-                assert bound[h] == np.inf
-                continue
-            j1, j2 = ls._block_argmin_pair(state, h)
-            assert bound[h] <= state.two_flip_delta(j1, j2) + margin[h]
-            checked += state.blk[h] == state.d[h]
-    assert checked > 100
+        integer = bool(rng.integers(2))
+        state = (restricted_state(rng, integer) if restricted
+                 else random_state(rng, integer=integer))
+        if rng.integers(3) == 0:
+            w = state.w.copy()
+            w[rng.random(w.size) < 0.4] = 0.0
+            state.set_weights(w)
+        cand = np.flatnonzero(state.x)
+        screened = ls._scan_screen(state, cand)
+        assert np.all(np.isin(screened, cand)) and np.all(np.diff(screened) > 0)
+        for j1 in np.setdiff1d(cand, screened):
+            d1 = state.delta_down(j1)
+            best = ls._best_partner(state, j1, d1)
+            assert best is None or not best[0] < -ls.gain_tol(state, state.zhat + d1)
+        kept += screened.size
+        dropped += cand.size - screened.size
+    assert kept > 200 and dropped > 200
+
+
+def test_swap_scan_with_zero_weights_matches_trial_scan():
+    """A zero-weight opened row adds no entry to the screen's product."""
+    rng = np.random.default_rng(128)
+    moved = zero_opened = 0
+    for _ in range(200):
+        inst = random_instance(rng)
+        w = random_weights(rng, inst, integer=bool(rng.integers(2)))
+        w[rng.random(inst.m) < 0.4] = 0.0
+        if rng.integers(2):
+            state = nb1_state(rng, inst, w=w)
+        else:
+            state = ls.SearchState(inst, w, x0=random_gub_feasible(rng, inst))
+        ref = ls.SearchState(state.inst, state.w, x0=state.x)
+        ref.dp_up, ref.dp_down, ref.zhat = (state.dp_up.copy(), state.dp_down.copy(),
+                                            state.zhat)
+        sel = np.flatnonzero(state.x)
+        zero_opened += any(np.any((state.s[r] == state.b[r]) & (state.w[r] == 0))
+                           for r in (inst.col_rows[j] for j in sel))
+        budget, ref_budget = [5], [5]
+        got = ls._step_swap_scan(state, None, budget)
+        want = trial_swap_scan(ref, ref_budget)
+        assert got == want and budget == ref_budget
+        assert state_key(state) == state_key(ref)
+        moved += got
+    assert moved > 20 and zero_opened > 50
 
 
 @pytest.mark.parametrize("restricted", [False, True])
