@@ -81,9 +81,9 @@ class SearchState:
 
     def _build_tables(self):
         """Rebuild the dp tables and zhat from s and the current weights."""
-        a = self.inst.matrix()
-        self.dp_up = (self.w * (self.s < self.b)) @ a
-        self.dp_down = (self.w * (self.s <= self.b)) @ a
+        a = self.inst.col_matrix()
+        self.dp_up = a @ (self.w * (self.s < self.b))
+        self.dp_down = a @ (self.w * (self.s <= self.b))
         self.resync_zhat()
 
     def resync_zhat(self):
@@ -274,24 +274,6 @@ def _step_drop(state, tracker, budget):
     return moved
 
 
-def _gather(csr, owners):
-    """The lists of csr named by owners, back to back.
-
-    Returns (pos, entries): entries[e] belongs to list owners[pos[e]], and
-    pos ascends.
-    """
-    lo = csr.ptr[owners]
-    count = csr.ptr[owners + 1] - lo
-    pos = np.repeat(np.arange(owners.size), count)
-    shift = lo - (np.cumsum(count) - count)
-    return pos, csr.ind[np.arange(pos.size) + shift[pos]]
-
-
-def _starts(pos, size):
-    """Where each of size segments starts in the ascending array pos."""
-    return np.searchsorted(pos, np.arange(size))
-
-
 def _block_argmin_pair(state, h):
     """Best drop and best add inside block h, which has both kinds of member."""
     members = state.inst.block_cols[h]
@@ -330,8 +312,8 @@ def _saturated_screen(state):
     inst = state.inst
     size = np.diff(inst.block_csr.ptr)
     blocks = np.flatnonzero((state.blk == state.d) & (state.blk > 0) & (size > state.blk))
-    pos, members = _gather(inst.block_csr, blocks)
-    starts = _starts(pos, blocks.size)
+    grouped = inst.block_csr.gather(blocks)
+    members, starts = grouped.ind, grouped.ptr[:-1]
     picked = state.x[members]
     down = np.where(picked, -state.costf[members] + state.dp_down[members], np.inf)
     up = np.where(picked, np.inf, state.costf[members] - state.dp_up[members])
@@ -339,10 +321,12 @@ def _saturated_screen(state):
     a2 = _first_argmin(up, starts)
     # the rows of j1 at s == b that j2 covers too, matched on sorted
     # (pair, row) keys
-    p1, r1 = _gather(inst.col_csr, members[a1])
+    rows1 = inst.col_csr.gather(members[a1])
+    p1, r1 = rows1.owners(), rows1.ind
     at = state.s[r1] == state.b[r1]
     key1 = p1[at] * inst.m + r1[at]
-    p2, r2 = _gather(inst.col_csr, members[a2])
+    rows2 = inst.col_csr.gather(members[a2])
+    p2, r2 = rows2.owners(), rows2.ind
     key2 = p2 * inst.m + r2
     hit = np.zeros(key2.size, dtype=bool)
     if key1.size:
@@ -454,11 +438,12 @@ def _scan_screen(state, cand):
     opened row weighs 0 or less, so such a candidate is always kept.
     """
     inst = state.inst
-    pos, rows = _gather(inst.col_csr, cand)
+    cand_rows = inst.col_csr.gather(cand)
+    rows = cand_rows.ind
     at = state.s[rows] == state.b[rows]
-    pos, rows = pos[at], rows[at]
+    pos, rows = cand_rows.owners()[at], rows[at]
     w = state.w[rows]
-    ptr = np.append(_starts(pos, cand.size), pos.size)
+    ptr = np.searchsorted(pos, np.arange(cand.size + 1))
     lost = sp.csr_matrix((w, rows, ptr), shape=(cand.size, inst.m)) @ inst.matrix()
     # every term moves down by 1e-9 of its magnitude: per candidate, per
     # column and per entry of L

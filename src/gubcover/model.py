@@ -67,6 +67,21 @@ class Csr:
     def count(self) -> int:
         return len(self.ptr) - 1
 
+    def gather(self, owners) -> Csr:
+        """The lists named by owners, back to back, as a Csr of owners.size lists.
+
+        One gather out of ind, with no per-list views.  Its positions into
+        ind are int32 when ind is short enough for them, half the memory of
+        int64 ones.
+        """
+        lo = self.ptr[owners]
+        ptr = np.zeros(lo.size + 1, dtype=np.int64)
+        np.cumsum(self.ptr[owners + 1] - lo, out=ptr[1:])
+        position = np.int32 if self.ind.size < 2**31 else np.int64
+        at = np.repeat((lo - ptr[:-1]).astype(position), np.diff(ptr))
+        at += np.arange(at.size, dtype=position)
+        return Csr(ptr, self.ind[at])
+
     def views(self) -> list:
         """One read-only view into ind per list."""
         ind = self.ind
@@ -98,7 +113,8 @@ class Instance:
     The adjacency lives in three frozen Csr buffers: col_csr (rows of each
     column), row_csr (columns of each row) and block_csr (members of each
     block).  col_rows, row_cols and block_cols are lists of read-only views
-    into them, one small array per column, row or block.
+    into them, one small array per column, row or block.  matrix() and
+    col_matrix() wrap row_csr and col_csr as scipy matrices.
 
     Attributes
     ----------
@@ -148,7 +164,7 @@ class Instance:
         self.nnz = int(self.col_csr.ind.size)
         self.cost_sum = _exact_sum(self.cost)
         self.wbar = float(self.cost_sum + 1) if wbar is None else float(wbar)
-        self._matrix = None
+        self._matrix_pair = None
 
     @classmethod
     def from_columns(cls, cost, col_rows, demand, blocks):
@@ -170,12 +186,29 @@ class Instance:
         )
 
     def matrix(self) -> sp.csr_matrix:
-        """0/1 coverage matrix (m x n) in CSR form over row_csr, built once and cached."""
-        if self._matrix is None:
-            r = self.row_csr
-            data = np.ones(r.ind.size, dtype=np.int64)
-            self._matrix = sp.csr_matrix((data, r.ind, r.ptr), shape=(self.m, self.n))
-        return self._matrix
+        """0/1 coverage matrix (m x n), float64 CSR over row_csr, built once and cached."""
+        return self._matrices()[0]
+
+    def col_matrix(self) -> sp.csr_matrix:
+        """The transpose of matrix() (n x m), float64 CSR over col_csr.
+
+        It shares matrix()'s read-only data buffer and col_csr's indices,
+        so it adds only its own n + 1 row pointers.  col_matrix() @ u sums
+        each column's u[i] from 0 in ascending row order, as u @ matrix()
+        does, so the two give the same floats; the row-major product is
+        the faster one, and a row slice of it prices a subset of columns.
+        """
+        return self._matrices()[1]
+
+    def _matrices(self):
+        if self._matrix_pair is None:
+            ones = np.ones(self.nnz)
+            ones.flags.writeable = False
+            r, c = self.row_csr, self.col_csr
+            self._matrix_pair = (
+                sp.csr_matrix((ones, r.ind, r.ptr), shape=(self.m, self.n)),
+                sp.csr_matrix((ones, c.ind, c.ptr), shape=(self.n, self.m)))
+        return self._matrix_pair
 
     def density(self) -> float:
         return self.nnz / float(self.m * self.n) if self.m and self.n else 0.0
@@ -246,12 +279,14 @@ def initial_weights(inst: Instance) -> np.ndarray:
 
 
 def coverage_counts(inst: Instance, x) -> np.ndarray:
-    """Per-row counts of selected covering columns."""
-    sel = np.flatnonzero(x)
-    if sel.size == 0:
-        return np.zeros(inst.m, dtype=np.int64)
-    rows = np.concatenate([inst.col_rows[j] for j in sel])
-    return np.bincount(rows, minlength=inst.m).astype(np.int64)
+    """Per-row counts of selected covering columns.
+
+    One gather of the selected columns' rows, counted in place: bincount
+    would first copy the int32 rows to int64.
+    """
+    counts = np.zeros(inst.m, dtype=np.int64)
+    np.add.at(counts, inst.col_csr.gather(np.flatnonzero(x)).ind, 1)
+    return counts
 
 
 def objective(inst: Instance, x) -> int:

@@ -87,11 +87,10 @@ class ReducedProblem:
         cols = np.flatnonzero(core)
         pos = np.empty(inst.n, dtype=np.int64)
         pos[cols] = np.arange(cols.size)
-        rows, blocks = inst.row_csr, inst.block_csr
-        cover = core[rows.ind]
+        cover, blocks = inst.col_csr.gather(cols), inst.block_csr
         member = core[blocks.ind]
         sub = Instance(
-            inst.cost[cols], self.demand, rows.owners()[cover], pos[rows.ind[cover]],
+            inst.cost[cols], self.demand, cover.ind, cover.owners(),
             self.cap, blocks.owners()[member], pos[blocks.ind[member]], wbar=inst.wbar)
         return sub, cols
 

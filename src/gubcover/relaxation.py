@@ -38,22 +38,42 @@ class SubgradientResult:
 
 def reduced_costs(inst, u) -> np.ndarray:
     """c_j minus the multiplier mass of the rows column j covers."""
-    u = np.asarray(u, dtype=float)
-    return inst.cost.astype(float) - u @ inst.matrix()
+    return inst.cost - inst.col_matrix() @ np.asarray(u, dtype=float)
 
 
 def rank_within(groups, keys):
     """Rank of each entry inside its group, by ascending key.
 
-    Ties keep input order (lexsort is stable), so callers that pass
-    ascending column indices break them toward the lowest index.
+    Ties keep input order, so callers that pass ascending column indices
+    break them toward the lowest index.  Equal keys are those that compare
+    equal (so -0.0 ties with 0.0); keys must not be NaN.
+
+    Two exact int64 sorts stand in for a stable float sort.  An unstable
+    argsort gives each key its dense rank d (equal keys, equal rank), and
+    sorting d * size + index orders the entries by (key, index); sorting
+    group * size + place in that order then orders them by (group, key,
+    index).
     """
-    order = np.lexsort((keys, groups))
-    sorted_groups = groups[order]
-    starts = np.flatnonzero(np.diff(sorted_groups, prepend=-1))
-    sizes = np.diff(starts, append=order.size)
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(order.size) - np.repeat(starts, sizes)
+    size = keys.size
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    dense = np.zeros(size, dtype=np.int64)
+    np.cumsum(sorted_keys[1:] != sorted_keys[:-1], out=dense[1:])
+    dense *= size
+    order = dense + by_key
+    order.sort()
+    order -= dense                      # the entries by (key, index)
+    place = np.asarray(groups, dtype=np.int64)[order] * size
+    place += np.arange(size)
+    place.sort()
+    group = place // size if size else place
+    place -= group * size               # order[place]: by (group, key, index)
+    step = np.ones(size, dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=step[1:])
+    first = np.where(step, np.arange(size), 0)
+    np.maximum.accumulate(first, out=first)
+    rank = np.empty(size, dtype=np.int64)
+    rank[order[place]] = np.arange(size) - first
     return rank
 
 
@@ -138,13 +158,13 @@ def subgradient_method(inst, ub, params: SubgradientParams | None = None) -> Sub
                 best_u = u.copy()
             if pricing:
                 core_idx = np.flatnonzero(_build_core(inst, rc, p.core_factor))
-                core_mat = inst.matrix()[:, core_idx]
+                core_mat = inst.col_matrix()[core_idx]
             if value >= ub:
                 it += 1
                 break
         else:
             rc = np.full(inst.n, np.inf)
-            rc[core_idx] = inst.cost[core_idx] - u @ core_mat
+            rc[core_idx] = inst.cost[core_idx] - core_mat @ u
             x, value = solve_lr(inst, u, rc=rc)
         if value > best_seen:
             best_seen = value

@@ -9,6 +9,7 @@ make an instance infeasible, which several tests rely on.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gubcover import driver, localsearch, model
 from gubcover.model import Instance
@@ -80,6 +81,13 @@ def random_instance(rng, m=None, n=None, density=0.3, bmax=3, cost_hi=20):
         members = list(range(h * g, (h + 1) * g))
         blocks.append((int(rng.integers(1, g + 1)), members))
     return Instance.from_columns(cost, [sorted(c) for c in covers], demand, blocks)
+
+
+def int64_matrix(inst):
+    """The int64 coverage matrix (m x n) the float64 matrix() replaced."""
+    r = inst.row_csr
+    data = np.ones(r.ind.size, dtype=np.int64)
+    return sp.csr_matrix((data, r.ind, r.ptr), shape=(inst.m, inst.n))
 
 
 def random_gub_feasible(rng, inst):

@@ -255,3 +255,36 @@ def test_pinned_runs(score, seed, monkeypatch):
     assert res.selected == want["selected"]
     assert [(it, val) for it, val, _ in res.timeline] == want["timeline"]
     assert res.core_fractions == want["core_fractions"]
+
+
+# type-4 blocks (cap 50 of 100): the subgradient ranks crowded blocks with
+# tied reduced costs on almost every call; frozen at the default config
+PINNED_CAP50 = {
+    "pseudo": dict(
+        objective=720, lower_bound=715.8219899707891, penalized=720.0,
+        timeline=[(0, 1224.0), (1, 788.0), (2, 720.0)], core_fractions=[0.7, 0.435],
+        selected=[0, 1, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15, 18, 24, 25, 26, 27, 28,
+                  29, 31, 33, 34, 37, 39, 40, 47, 49, 52, 53, 55, 60, 63, 64, 73, 76, 77,
+                  90, 96, 98, 107, 126, 132, 138, 152, 181, 191, 226]),
+    "normalized": dict(
+        objective=724, lower_bound=715.8219899707891, penalized=724.0,
+        timeline=[(0, 1224.0), (1, 800.0), (2, 724.0)], core_fractions=[0.5275, 0.3525],
+        selected=[0, 1, 4, 5, 7, 8, 9, 10, 12, 13, 14, 15, 16, 18, 24, 25, 26, 27, 28,
+                  29, 33, 34, 37, 38, 39, 40, 47, 49, 52, 53, 55, 58, 60, 63, 64, 66, 73,
+                  76, 90, 96, 98, 107, 121, 126, 138, 144, 152, 194, 246]),
+}
+
+
+@pytest.mark.parametrize("score", sorted(PINNED_CAP50))
+def test_pinned_cap50_run(score):
+    inst, _ = gio.generate(gio.GeneratorParams(rows=40, cols=400, density=0.05,
+                                               block_size=100, cap=50, seed=0))
+    res = solve_checked(inst, SolverConfig(score=score, seed=0, max_iterations=2,
+                                           time_limit=1e6))
+    want = PINNED_CAP50[score]
+    assert res.objective == want["objective"]
+    assert res.lower_bound == want["lower_bound"]
+    assert res.penalized == want["penalized"]
+    assert res.selected == want["selected"]
+    assert [(it, val) for it, val, _ in res.timeline] == want["timeline"]
+    assert res.core_fractions == want["core_fractions"]

@@ -10,7 +10,7 @@ from gubcover import model
 from gubcover.model import as_bool
 
 import oracle
-from conftest import (nb1_state, random_gub_feasible, random_instance,
+from conftest import (int64_matrix, nb1_state, random_gub_feasible, random_instance,
                       random_weights, solver_pair_move)
 
 
@@ -140,6 +140,19 @@ def test_caches_match_recompute_after_flip_walk():
             assert np.array_equal(state.dp_up, up)
             assert np.array_equal(state.dp_down, down)
             assert state.zhat == oracle.penalized_value(inst, x, w)
+
+
+def test_dp_tables_bit_identical_to_int64_product():
+    rng = np.random.default_rng(39)
+    for _ in range(30):
+        inst = random_instance(rng, m=int(rng.integers(3, 40)), n=int(rng.integers(6, 120)))
+        w = random_weights(rng, inst, integer=False)
+        state = ls.SearchState(inst, w, x0=random_gub_feasible(rng, inst))
+        a = int64_matrix(inst)
+        for _ in range(2):
+            assert np.array_equal(state.dp_up, (state.w * (state.s < state.b)) @ a)
+            assert np.array_equal(state.dp_down, (state.w * (state.s <= state.b)) @ a)
+            state.set_weights(w * rng.uniform(0.1, 3.0, size=inst.m))
 
 
 def test_trial_flip_restores_bit_exactly():

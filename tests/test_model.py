@@ -74,6 +74,42 @@ def test_coverage_counts(t1):
     assert list(model.coverage_counts(t1, model.as_bool(4, [0, 2, 3]))) == [2, 1, 2]
 
 
+def coverage_counts_reference(inst, x):
+    """The per-column list concatenation that the single gather replaced."""
+    sel = np.flatnonzero(x)
+    if sel.size == 0:
+        return np.zeros(inst.m, dtype=np.int64)
+    rows = np.concatenate([inst.col_rows[j] for j in sel])
+    return np.bincount(rows, minlength=inst.m).astype(np.int64)
+
+
+def test_coverage_counts_matches_list_concat():
+    rng = np.random.default_rng(8)
+    for case in range(60):
+        inst = random_instance(rng)
+        if case % 3 == 0:
+            # the constructor admits a column that covers no row
+            cols = [list(r) for r in inst.col_rows]
+            cols[int(rng.integers(inst.n))] = []
+            blocks = [(int(c), list(b)) for c, b in zip(inst.cap, inst.block_cols)]
+            inst = Instance.from_columns(inst.cost, cols, inst.demand, blocks)
+        for x in (np.zeros(inst.n, dtype=bool), np.ones(inst.n, dtype=bool),
+                  rng.random(inst.n) < rng.random()):
+            got = model.coverage_counts(inst, x)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, coverage_counts_reference(inst, x))
+
+
+def test_csr_gather():
+    csr = model.Csr.group([0, 0, 2, 2, 2, 3], [5, 1, 4, 0, 2, 3], 4, 6)
+    got = csr.gather(np.array([2, 1, 0, 2, 3]))
+    assert got.ptr.tolist() == [0, 3, 3, 5, 8, 9]
+    assert got.ind.tolist() == [0, 2, 4, 1, 5, 0, 2, 4, 3]
+    assert got.ind.dtype == np.int32
+    empty = csr.gather(np.zeros(0, dtype=np.int64))
+    assert empty.ptr.tolist() == [0] and empty.ind.size == 0
+
+
 def test_feasibility_checks(t1):
     assert model.is_feasible(t1, model.as_bool(4, [1, 2]))
     assert not model.is_feasible(t1, np.zeros(4, dtype=bool))
@@ -124,6 +160,20 @@ def test_matrix_matches_col_rows():
     a = inst.matrix().toarray()
     for j in range(inst.n):
         assert list(np.flatnonzero(a[:, j])) == list(inst.col_rows[j])
+
+
+def test_col_matrix_is_the_transpose_sharing_data():
+    rng = np.random.default_rng(4)
+    inst = random_instance(rng, m=12, n=30)
+    a, at = inst.matrix(), inst.col_matrix()
+    assert a.dtype == at.dtype == np.float64
+    assert at.shape == (inst.n, inst.m)
+    assert np.shares_memory(a.data, at.data)
+    assert np.shares_memory(at.indices, inst.col_csr.ind)
+    assert not a.data.flags.writeable
+    assert (at != a.T).nnz == 0
+    assert np.array_equal(at.toarray(), a.toarray().T)
+    assert inst.matrix() is a and inst.col_matrix() is at
 
 
 # -- validate against the loop it replaced ------------------------------------

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gubcover import model
 from gubcover import relaxation as rx
 from gubcover.relaxation import SubgradientParams
 
 import oracle
-from conftest import random_instance
+from conftest import int64_matrix, random_instance
 
 
 def test_reduced_costs_t1(t1):
@@ -47,6 +49,20 @@ def test_solve_lr_respects_caps():
         assert model.gub_feasible(inst, x)
 
 
+def test_reduced_costs_bit_identical_to_int64_product():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        inst = random_instance(rng, m=int(rng.integers(3, 40)), n=int(rng.integers(6, 200)))
+        u = rng.uniform(0, 50, size=inst.m) * rng.random(inst.m) ** 3
+        u[rng.random(inst.m) < 0.2] = 0.0
+        old = inst.cost.astype(float) - u @ int64_matrix(inst)
+        assert np.array_equal(rx.reduced_costs(inst, u), old)
+        # the pricing core: a row slice of col_matrix against a column slice
+        core = np.flatnonzero(rng.random(inst.n) < 0.5)
+        priced = inst.cost[core] - inst.col_matrix()[core] @ u
+        assert np.array_equal(priced, inst.cost[core] - u @ int64_matrix(inst)[:, core])
+
+
 def solve_lr_reference(inst, u, rc):
     """Per-block loop: the cap cheapest of a block with too many negatives."""
     neg = rc < 0
@@ -80,6 +96,17 @@ def scattered_blocks(rng, inst):
     return model.Instance.from_columns(inst.cost, inst.col_rows, inst.demand, blocks)
 
 
+def rank_within_reference(groups, keys):
+    """The stable-lexsort rank rule that rank_within's packed sorts replaced."""
+    order = np.lexsort((keys, groups))
+    sorted_groups = groups[order]
+    starts = np.flatnonzero(np.diff(sorted_groups, prepend=-1))
+    sizes = np.diff(starts, append=order.size)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size) - np.repeat(starts, sizes)
+    return rank
+
+
 def test_rank_within():
     groups = np.array([2, 0, 2, 0, 2, 1])
     keys = np.array([5.0, 1.0, 5.0, 1.0, -1.0, 0.0])
@@ -88,12 +115,62 @@ def test_rank_within():
     assert empty.size == 0 and empty.dtype == np.int64
 
 
+def test_rank_within_ties_signed_zeros_and_infinities():
+    groups = np.array([0, 0, 0, 0, 0, 1, 1, 1])
+    keys = np.array([0.0, -0.0, np.inf, -np.inf, np.inf, -0.0, 0.0, -0.0])
+    # -0.0 == 0.0 and inf == inf, so those tie and keep input order
+    assert list(rx.rank_within(groups, keys)) == [1, 2, 3, 0, 4, 0, 1, 2]
+
+
+# a small pool of keys makes ties the rule, and holds both zeros and infinities
+TIE_KEYS = [-np.inf, -2.5, -1.0, -0.0, 0.0, 1e-300, 1.0, 3.0, np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rank_within_matches_lexsort(data):
+    size = data.draw(st.integers(0, 60))
+    groups = np.array(data.draw(st.lists(st.integers(0, 6), min_size=size, max_size=size)),
+                      dtype=np.int64)
+    key = st.sampled_from(TIE_KEYS) | st.floats(-1e6, 1e6)
+    keys = np.array(data.draw(st.lists(key, min_size=size, max_size=size)), dtype=float)
+    rank = rx.rank_within(groups, keys)
+    assert rank.dtype == np.int64
+    assert np.array_equal(rank, rank_within_reference(groups, keys))
+
+
+def test_rank_within_matches_lexsort_on_large_random_groups():
+    rng = np.random.default_rng(27)
+    for case in range(40):
+        size = int(rng.integers(1, 5000))
+        groups = rng.integers(0, int(rng.integers(1, 200)), size=size)
+        if case % 2:
+            groups.sort()                   # blocks of ascending columns
+        keys = rng.integers(-20, 20, size=size).astype(float)
+        if case % 4 < 2:
+            keys += rng.random(size)        # mostly distinct keys
+        keys[rng.random(size) < 0.05] = np.inf
+        assert np.array_equal(rx.rank_within(groups, keys),
+                              rank_within_reference(groups, keys))
+
+
+def any_caps(rng, inst):
+    """The same instance with caps from 0 to one past the block size.
+
+    The constructor keeps any cap; validate would report these.
+    """
+    blocks = [(int(rng.integers(0, len(b) + 2)), list(b)) for b in inst.block_cols]
+    return model.Instance.from_columns(inst.cost, inst.col_rows, inst.demand, blocks)
+
+
 def test_rank_rule_matches_block_loops():
     rng = np.random.default_rng(26)
     for case in range(200):
         inst = random_instance(rng)
         if case % 2:
             inst = scattered_blocks(rng, inst)
+        if case % 4 < 2:
+            inst = any_caps(rng, inst)
         # integer multipliers and costs make reduced-cost ties at the cap
         u = rng.integers(0, 8, size=inst.m).astype(float)
         rc = rx.reduced_costs(inst, u)
