@@ -49,6 +49,10 @@ class SolverConfig:
             raise ValueError(f"unknown neighborhood {self.neighborhood!r}")
         if self.greedy not in ("randomized", "uniform"):
             raise ValueError(f"unknown greedy mode {self.greedy!r}")
+        if not isinstance(self.path_relinking, (bool, np.bool_)):
+            raise ValueError("path_relinking must be True or False")
+        if not _is_real(self.time_limit):
+            raise ValueError("time_limit must be a number")
         if math.isnan(self.time_limit) or self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
         if math.isinf(self.time_limit) and self.max_iterations is None:
@@ -58,6 +62,8 @@ class SolverConfig:
         if self.max_iterations is not None and (
                 not _is_int(self.max_iterations) or self.max_iterations < 0):
             raise ValueError("max_iterations must be an integer >= 0")
+        if self.target is not None and not _is_real(self.target):
+            raise ValueError("target must be a number")
         if self.target is not None and math.isnan(self.target):
             raise ValueError("target must not be NaN")
         return self
@@ -66,6 +72,11 @@ class SolverConfig:
 def _is_int(value) -> bool:
     """An integer of any kind except bool, which is an int to Python."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number of any kind except bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass

@@ -281,11 +281,9 @@ def write_gub(inst: Instance, path):
         fh.write(f"{inst.m} {inst.n} {inst.k}\n")
         fh.write(" ".join(str(int(c)) for c in inst.cost) + "\n")
         fh.write(" ".join(str(int(b)) for b in inst.demand) + "\n")
-        for i in range(inst.m):
-            cols = inst.row_cols[i]
+        for cols in inst.row_cols:
             fh.write(" ".join([str(len(cols))] + [str(int(j) + 1) for j in cols]) + "\n")
-        for h in range(inst.k):
-            members = inst.block_cols[h]
+        for h, members in enumerate(inst.block_cols):
             fh.write(
                 " ".join(
                     [str(int(inst.cap[h])), str(len(members))]

@@ -10,6 +10,7 @@ pair.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ class Csr:
     """A sequence of index lists packed back to back, read-only.
 
     List p is ind[ptr[p]:ptr[p + 1]]; ptr starts at 0 and never decreases.
+    csr[p], len(csr) and iteration serve the lists as views into ind, made
+    on demand, so a Csr holds no per-list objects.
     """
 
     __slots__ = ("ptr", "ind")
@@ -63,10 +66,6 @@ class Csr:
             np.remainder(key, size, out=key)
         return cls(ptr, key.astype(np.int32))
 
-    @property
-    def count(self) -> int:
-        return len(self.ptr) - 1
-
     def gather(self, owners) -> Csr:
         """The lists named by owners, back to back, as a Csr of owners.size lists.
 
@@ -82,15 +81,26 @@ class Csr:
         at += np.arange(at.size, dtype=position)
         return Csr(ptr, self.ind[at])
 
-    def views(self) -> list:
-        """One read-only view into ind per list."""
-        ind = self.ind
-        bounds = self.ptr.tolist()
-        return [ind[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __getitem__(self, p) -> np.ndarray:
+        """List p, a read-only view into ind; a negative p counts from the end."""
+        count = len(self.ptr) - 1
+        q = operator.index(p)
+        if q < 0:
+            q += count
+        if not 0 <= q < count:
+            raise IndexError(f"list {p} out of range for {count} lists")
+        return self.ind[self.ptr[q]:self.ptr[q + 1]]
+
+    def __iter__(self):
+        ind, bounds = self.ind, self.ptr.tolist()
+        return (ind[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
 
     def owners(self) -> np.ndarray:
         """int64[len(ind)]: the list each entry belongs to."""
-        return np.repeat(np.arange(self.count, dtype=np.int64), np.diff(self.ptr))
+        return np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.ptr))
 
     def __eq__(self, other):
         if not isinstance(other, Csr):
@@ -110,11 +120,11 @@ class Instance:
     which validate() then reports.  Raises ValueError for coordinate lists
     of different lengths, an index out of range or a column in no block.
 
-    The adjacency lives in three frozen Csr buffers: col_csr (rows of each
-    column), row_csr (columns of each row) and block_csr (members of each
-    block).  col_rows, row_cols and block_cols are lists of read-only views
-    into them, one small array per column, row or block.  matrix() and
-    col_matrix() wrap row_csr and col_csr as scipy matrices.
+    The adjacency lives in three frozen Csr buffers: col_rows (rows of each
+    column), row_cols (columns of each row) and block_cols (members of each
+    block).  col_rows[j] is a read-only int32 view of column j's rows, made
+    on demand.  matrix() and col_matrix() wrap row_cols and col_rows as
+    scipy matrices over the same index buffers.
 
     Attributes
     ----------
@@ -122,12 +132,11 @@ class Instance:
         Row, column and block counts.
     cost : int64[n]
     demand : int64[m]
-    col_rows : list of int32 arrays, rows covered by each column (sorted)
-    row_cols : list of int32 arrays, columns covering each row (sorted)
+    col_rows : Csr of n lists, rows covered by each column (sorted)
+    row_cols : Csr of m lists, columns covering each row (sorted)
     cap : int64[k]
-    block_cols : list of int32 arrays, member columns of each block (sorted)
+    block_cols : Csr of k lists, member columns of each block (sorted)
     block_of : int64[n], block index of each column
-    col_csr, row_csr, block_csr : Csr, the buffers behind the three lists
     nnz : int, number of (row, column) cover entries
     cost_sum : int, sum(cost) as a Python int, so it cannot wrap
     wbar : float, penalty weight cost_sum + 1, above the cost of every column
@@ -149,19 +158,16 @@ class Instance:
         for idx, size, what in ((rows, m, "row"), (cols, n, "column"),
                                 (blocks, k, "block"), (members, n, "column")):
             _check_range(idx, size, what)
-        self.col_csr = Csr.group(cols, rows, n, m)
-        self.row_csr = Csr.group(rows, cols, m, n)
-        self.block_csr = Csr.group(blocks, members, k, n)
+        self.col_rows = Csr.group(cols, rows, n, m)
+        self.row_cols = Csr.group(rows, cols, m, n)
+        self.block_cols = Csr.group(blocks, members, k, n)
         block_of = np.full(n, -1, dtype=np.int64)
-        np.maximum.at(block_of, self.block_csr.ind, self.block_csr.owners())
+        np.maximum.at(block_of, self.block_cols.ind, self.block_cols.owners())
         if np.any(block_of < 0):
             bad = int(np.flatnonzero(block_of < 0)[0])
             raise ValueError(f"column {bad} belongs to no block")
         self.block_of = _frozen(block_of)
-        self.col_rows = self.col_csr.views()
-        self.row_cols = self.row_csr.views()
-        self.block_cols = self.block_csr.views()
-        self.nnz = int(self.col_csr.ind.size)
+        self.nnz = int(self.col_rows.ind.size)
         self.cost_sum = _exact_sum(self.cost)
         self.wbar = float(self.cost_sum + 1) if wbar is None else float(wbar)
         self._matrix_pair = None
@@ -186,13 +192,13 @@ class Instance:
         )
 
     def matrix(self) -> sp.csr_matrix:
-        """0/1 coverage matrix (m x n), float64 CSR over row_csr, built once and cached."""
+        """0/1 coverage matrix (m x n), float64 CSR over row_cols, built once and cached."""
         return self._matrices()[0]
 
     def col_matrix(self) -> sp.csr_matrix:
-        """The transpose of matrix() (n x m), float64 CSR over col_csr.
+        """The transpose of matrix() (n x m), float64 CSR over col_rows.
 
-        It shares matrix()'s read-only data buffer and col_csr's indices,
+        It shares matrix()'s read-only data buffer and col_rows' indices,
         so it adds only its own n + 1 row pointers.  col_matrix() @ u sums
         each column's u[i] from 0 in ascending row order, as u @ matrix()
         does, so the two give the same floats; the row-major product is
@@ -204,7 +210,7 @@ class Instance:
         if self._matrix_pair is None:
             ones = np.ones(self.nnz)
             ones.flags.writeable = False
-            r, c = self.row_csr, self.col_csr
+            r, c = self.row_cols, self.col_rows
             self._matrix_pair = (
                 sp.csr_matrix((ones, r.ind, r.ptr), shape=(self.m, self.n)),
                 sp.csr_matrix((ones, c.ind, c.ptr), shape=(self.n, self.m)))
@@ -223,8 +229,8 @@ class Instance:
             and np.array_equal(self.cost, other.cost)
             and np.array_equal(self.demand, other.demand)
             and np.array_equal(self.cap, other.cap)
-            and self.col_csr == other.col_csr
-            and self.block_csr == other.block_csr
+            and self.col_rows == other.col_rows
+            and self.block_cols == other.block_cols
         )
 
     def __repr__(self):
@@ -285,7 +291,7 @@ def coverage_counts(inst: Instance, x) -> np.ndarray:
     would first copy the int32 rows to int64.
     """
     counts = np.zeros(inst.m, dtype=np.int64)
-    np.add.at(counts, inst.col_csr.gather(np.flatnonzero(x)).ind, 1)
+    np.add.at(counts, inst.col_rows.gather(np.flatnonzero(x)).ind, 1)
     return counts
 
 
@@ -332,10 +338,10 @@ def validate(inst: Instance) -> list[Violation]:
     if np.any(inst.demand < 0):
         bad = np.flatnonzero(inst.demand < 0)[0]
         out.append(Violation("demand_negative", f"row {bad} has demand {inst.demand[bad]}"))
-    for j in np.flatnonzero(np.diff(inst.col_csr.ptr) == 0):
+    for j in np.flatnonzero(np.diff(inst.col_rows.ptr) == 0):
         out.append(Violation("empty_column", f"column {j} covers no rows"))
 
-    blocks = inst.block_csr
+    blocks = inst.block_cols
     owner = blocks.owners()
     mismatch = np.zeros(inst.k, dtype=bool)
     mismatch[owner[inst.block_of[blocks.ind] != owner]] = True

@@ -87,7 +87,7 @@ class ReducedProblem:
         cols = np.flatnonzero(core)
         pos = np.empty(inst.n, dtype=np.int64)
         pos[cols] = np.arange(cols.size)
-        cover, blocks = inst.col_csr.gather(cols), inst.block_csr
+        cover, blocks = inst.col_rows.gather(cols), inst.block_cols
         member = core[blocks.ind]
         sub = Instance(
             inst.cost[cols], self.demand, cover.ind, cover.owners(),

@@ -77,25 +77,33 @@ def rank_within(groups, keys):
     return rank
 
 
-def solve_lr(inst, u, rc=None):
+def solve_lr(inst, u, rc=None, cols=None):
     """Closed-form minimizer of the relaxed objective.
 
     Per block, take the columns with negative reduced cost whose rank among
     the block's negative columns (rank_within, ties to the lowest column
     index) is below the cap.  Only blocks with more than cap negatives are
-    ranked at all.  A column priced out with rc = inf is never taken.
-    Returns (x, value).
+    ranked at all.  With cols, ascending column indices, rc holds the
+    reduced costs of those columns only, and every other column is priced
+    out, never taken.  The picks are ranked and summed in ascending column
+    order either way, so the answer is the same float as with rc = inf
+    outside cols.  Returns (x, value), x over all n columns.
     """
     if rc is None:
         rc = reduced_costs(inst, u)
-    x = rc < 0
-    neg = np.flatnonzero(x)
-    over = np.bincount(inst.block_of[neg], minlength=inst.k) > inst.cap
+    take = rc < 0
+    neg = np.flatnonzero(take)
+    block = inst.block_of[neg if cols is None else cols[neg]]
+    over = np.bincount(block, minlength=inst.k) > inst.cap
     if over.any():
-        hard = neg[over[inst.block_of[neg]]]
-        h = inst.block_of[hard]
-        x[hard] = rank_within(h, rc[hard]) < inst.cap[h]
-    value = float(rc[x].sum() + np.dot(inst.demand, np.asarray(u, dtype=float)))
+        hard = over[block]
+        h = block[hard]
+        take[neg[hard]] = rank_within(h, rc[neg[hard]]) < inst.cap[h]
+    value = float(rc[take].sum() + np.dot(inst.demand, np.asarray(u, dtype=float)))
+    if cols is None:
+        return take, value
+    x = np.zeros(inst.n, dtype=bool)
+    x[cols[take]] = True
     return x, value
 
 
@@ -144,8 +152,7 @@ def subgradient_method(inst, ub, params: SubgradientParams | None = None) -> Sub
     lam = p.step_init
     stall = 0
     evals = 0
-    core_idx = None
-    core_mat = None
+    core_idx = core_cost = core_mat = None
     it = 0
     while it < max_iters and lam >= p.step_min:
         full = (not pricing) or (it % p.refresh == 0)
@@ -158,14 +165,13 @@ def subgradient_method(inst, ub, params: SubgradientParams | None = None) -> Sub
                 best_u = u.copy()
             if pricing:
                 core_idx = np.flatnonzero(_build_core(inst, rc, p.core_factor))
+                core_cost = inst.cost[core_idx]
                 core_mat = inst.col_matrix()[core_idx]
             if value >= ub:
                 it += 1
                 break
         else:
-            rc = np.full(inst.n, np.inf)
-            rc[core_idx] = inst.cost[core_idx] - core_mat @ u
-            x, value = solve_lr(inst, u, rc=rc)
+            x, value = solve_lr(inst, u, rc=core_cost - core_mat @ u, cols=core_idx)
         if value > best_seen:
             best_seen = value
             stall = 0

@@ -85,7 +85,7 @@ def random_instance(rng, m=None, n=None, density=0.3, bmax=3, cost_hi=20):
 
 def int64_matrix(inst):
     """The int64 coverage matrix (m x n) the float64 matrix() replaced."""
-    r = inst.row_csr
+    r = inst.row_cols
     data = np.ones(r.ind.size, dtype=np.int64)
     return sp.csr_matrix((data, r.ind, r.ptr), shape=(inst.m, inst.n))
 

@@ -186,6 +186,24 @@ def test_config_validation():
     SolverConfig(time_limit=inf, max_iterations=2).check()
 
 
+def test_config_rejects_values_it_would_misread(t1):
+    # each of these used to pass check(): "no" turned relinking on, True
+    # read as 1, and "5" escaped as a TypeError
+    for bad, message in (({"path_relinking": "no"}, "path_relinking"),
+                         ({"path_relinking": 0}, "path_relinking"),
+                         ({"path_relinking": None}, "path_relinking"),
+                         ({"time_limit": True}, "time_limit"),
+                         ({"time_limit": "5"}, "time_limit"),
+                         ({"target": True}, "target"),
+                         ({"target": "5"}, "target")):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**bad).check()
+        with pytest.raises(ValueError, match=message):
+            driver.solve(t1, SolverConfig(**bad))
+    SolverConfig(path_relinking=np.bool_(False), time_limit=np.float32(2.5),
+                 target=np.int64(7)).check()
+
+
 # Values frozen from the full-width search, before the core was compacted
 # into a sub-instance; any drift in fixing, core, search or relinking order
 # shows up here.

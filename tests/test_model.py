@@ -110,6 +110,60 @@ def test_csr_gather():
     assert empty.ptr.tolist() == [0] and empty.ind.size == 0
 
 
+def csr_views(csr):
+    """The per-list view loop that csr[p], len(csr) and iteration replaced."""
+    ind, bounds = csr.ind, csr.ptr.tolist()
+    return [ind[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def assert_serves_views(csr):
+    views = csr_views(csr)
+    count = len(views)
+    assert len(csr) == count
+    listed = list(csr)
+    assert len(listed) == count
+    for p, view in enumerate(views):
+        # negative p counts from the end, as list indexing does
+        for got in (csr[p], csr[p - count], csr[np.int32(p)], csr[np.int64(p - count)],
+                    listed[p]):
+            assert got.dtype == np.int32 and np.array_equal(got, view)
+            assert not got.flags.writeable
+            assert got.size == 0 or np.shares_memory(got, csr.ind)
+    for p in (count, count + 3, -count - 1, -count - 5):
+        with pytest.raises(IndexError):
+            csr[p]
+    with pytest.raises(TypeError):
+        csr[1.0]
+
+
+def test_csr_indexing_matches_views():
+    rng = np.random.default_rng(11)
+    empties = 0
+    for _ in range(60):
+        count, size = int(rng.integers(0, 12)), int(rng.integers(1, 9))
+        pairs = int(rng.integers(0, 30)) if count else 0
+        csr = model.Csr.group(rng.integers(0, max(count, 1), pairs),
+                              rng.integers(0, size, pairs), count, size)
+        assert_serves_views(csr)
+        empties += int(np.sum(np.diff(csr.ptr) == 0))
+    assert empties > 0
+
+
+def test_csr_indexing_on_a_restricted_instance():
+    from gubcover.reduction import apply_fixing
+
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        inst = random_instance(rng, m=10, n=int(rng.choice([12, 24, 36])))
+        core = rng.random(inst.n) < 0.6
+        core[inst.block_cols[int(rng.integers(inst.k))]] = False
+        sub, _ = apply_fixing(inst, []).restrict(core)
+        assert any(len(members) == 0 for members in sub.block_cols)
+        for csr in (sub.col_rows, sub.row_cols, sub.block_cols):
+            assert isinstance(csr, model.Csr)
+            assert_serves_views(csr)
+
+
 def test_feasibility_checks(t1):
     assert model.is_feasible(t1, model.as_bool(4, [1, 2]))
     assert not model.is_feasible(t1, np.zeros(4, dtype=bool))
@@ -169,7 +223,7 @@ def test_col_matrix_is_the_transpose_sharing_data():
     assert a.dtype == at.dtype == np.float64
     assert at.shape == (inst.n, inst.m)
     assert np.shares_memory(a.data, at.data)
-    assert np.shares_memory(at.indices, inst.col_csr.ind)
+    assert np.shares_memory(at.indices, inst.col_rows.ind)
     assert not a.data.flags.writeable
     assert (at != a.T).nnz == 0
     assert np.array_equal(at.toarray(), a.toarray().T)

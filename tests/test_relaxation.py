@@ -184,6 +184,32 @@ def test_rank_rule_matches_block_loops():
                               build_core_reference(inst, rc, factor))
 
 
+def test_solve_lr_over_core_matches_inf_padded():
+    """Pricing a core only gives the bits of pricing every other column at inf."""
+    rng = np.random.default_rng(31)
+    ranked = 0
+    for case in range(300):
+        inst = random_instance(rng)
+        if case % 2:
+            inst = scattered_blocks(rng, inst)
+        if case % 4 < 2:
+            inst = any_caps(rng, inst)
+        # integer multipliers and costs make reduced-cost ties at the cap
+        u = rng.integers(0, 8, size=inst.m).astype(float)
+        core = np.flatnonzero(rng.random(inst.n) < rng.random())
+        rc = inst.cost[core] - inst.col_matrix()[core] @ u
+        padded = np.full(inst.n, np.inf)
+        padded[core] = rc
+        x_ref, z_ref = rx.solve_lr(inst, u, rc=padded)
+        x, z = rx.solve_lr(inst, u, rc=rc, cols=core)
+        assert x.dtype == bool and x.shape == (inst.n,)
+        assert np.array_equal(x, x_ref)
+        assert np.float64(z).tobytes() == np.float64(z_ref).tobytes()
+        neg = core[rc < 0]
+        ranked += bool(np.any(np.bincount(inst.block_of[neg], minlength=inst.k) > inst.cap))
+    assert ranked >= 50   # blocks with more negatives than their cap
+
+
 def test_weak_duality():
     rng = np.random.default_rng(23)
     for _ in range(30):
