@@ -86,7 +86,7 @@ class Csr:
 
     def __getitem__(self, p) -> np.ndarray:
         """List p, a read-only view into ind; a negative p counts from the end."""
-        count = len(self.ptr) - 1
+        count = len(self)
         q = operator.index(p)
         if q < 0:
             q += count
