@@ -330,12 +330,14 @@ class GeneratorParams:
             raise ValueError("rows and cols must be positive")
         if not (0 < self.density < 1):
             raise ValueError("density must be in (0, 1)")
-        if self.cols % self.block_size != 0:
-            raise ValueError("block_size must divide cols")
+        if self.block_size < 1 or self.cols % self.block_size != 0:
+            raise ValueError("block_size must be positive and divide cols")
         if not (1 <= self.cap <= self.block_size):
             raise ValueError("cap must be in [1, block_size]")
         if not (1 <= self.cost_lo <= self.cost_hi):
             raise ValueError("bad cost range")
+        if self.cost_hi * self.cols > np.iinfo(np.int64).max:
+            raise ValueError("cost_hi * cols must fit in int64")
         if not (0 <= self.demand_lo <= self.demand_hi):
             raise ValueError("bad demand range")
         if self.cols < max(2, self.demand_hi):
@@ -422,7 +424,7 @@ RESULT_CSV_FIELDS = [
 
 
 def write_result_json(result, path, instance_name=None):
-    payload = asdict(result) if not isinstance(result, dict) else dict(result)
+    payload = asdict(result)
     if instance_name is not None:
         payload["instance_name"] = str(instance_name)
     with open(path, "w") as fh:

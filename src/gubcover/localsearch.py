@@ -30,8 +30,8 @@ match of the shared rows (_saturated_screen).  A screen sums in another
 order than the exact pricing, so it lowers each gain by a margin of 1e-9
 times the magnitudes of its terms, far more than the order can change.
 Only the candidates that still beat the gain floor are priced exactly, by
-_best_partner or by _block_argmin_pair with two_flip_delta, and the exact
-gain decides, so the moves made are those of pricing every candidate.
+_best_partner or by two_flip_delta, and the exact gain decides, so the
+moves made are those of pricing every candidate.
 """
 
 from __future__ import annotations
@@ -278,16 +278,6 @@ def _step_drop(state, tracker, budget):
     return moved
 
 
-def _block_argmin_pair(state, h):
-    """Best drop and best add inside block h, which has both kinds of member."""
-    members = state.inst.block_cols[h]
-    selected = members[state.x[members]]
-    addable = members[~state.x[members]]
-    j1 = selected[int(np.argmin(-state.costf[selected] + state.dp_down[selected]))]
-    j2 = addable[int(np.argmin(state.costf[addable] - state.dp_up[addable]))]
-    return int(j1), int(j2)
-
-
 def _first_argmin(values, starts):
     """Per segment of values, the first index holding the segment minimum.
 
@@ -300,12 +290,13 @@ def _first_argmin(values, starts):
     return np.minimum.reduceat(index, starts)
 
 
-def _saturated_screen(state):
-    """Saturated blocks with both kinds of member, and their screened gain.
+def _saturated_screen(state, blocks):
+    """The argmin pair of each of the given blocks, and its screened gain.
 
-    Returns (blocks, j1, j2, low).  (j1[p], j2[p]) is block blocks[p]'s
-    argmin pair, the pair _block_argmin_pair picks: a segment argmin of
-    the drop and the add gains over block_cols, ties to the lowest member.
+    Returns (j1, j2, low).  (j1[p], j2[p]) is block blocks[p]'s argmin
+    pair, its cheapest drop and its cheapest add: a segment argmin of the
+    drop and the add gains over block_cols, ties to the lowest member, as
+    np.argmin breaks them.  Every block must have both kinds of member.
     low[p] is the pair's gain, drop gain plus add gain less the weight of
     the rows both columns cover at s == b, lowered by a margin.  That is
     the gain two_flip_delta computes, summed in another order, and the
@@ -314,8 +305,6 @@ def _saturated_screen(state):
     improving argmin pair.
     """
     inst = state.inst
-    size = np.diff(inst.block_cols.ptr)
-    blocks = np.flatnonzero((state.blk == state.d) & (state.blk > 0) & (size > state.blk))
     grouped = inst.block_cols.gather(blocks)
     members, starts = grouped.ind, grouped.ptr[:-1]
     picked = state.x[members]
@@ -340,7 +329,7 @@ def _saturated_screen(state):
     spread = np.bincount(p2[hit], weights=np.abs(w), minlength=blocks.size)
     gain = down[a1] + up[a2] - corr
     margin = 1e-9 * (np.abs(down[a1]) + np.abs(up[a2]) + spread)
-    return blocks, members[a1], members[a2], gain - margin
+    return members[a1], members[a2], gain - margin
 
 
 def _step_swap_saturated(state, tracker, budget):
@@ -351,37 +340,35 @@ def _step_swap_saturated(state, tracker, budget):
     swap exists there with no shared exactly-covered row, that pair is
     improving too, which is what makes checking one pair per block enough.
 
-    _saturated_screen gives every such pair's gain at once, up to float
-    summation order, with a margin that covers the order.  Only the blocks
-    whose screened gain beats the gain floor are priced exactly, with
-    _block_argmin_pair and two_flip_delta, and the exact gain decides.  A
-    skipped block has no improving pair, and the screen is recomputed after
-    every accepted swap, so the pass makes the same swaps, in the same
-    order, as pricing every saturated block.
+    A swap inside a block leaves every block count as it was, so the
+    blocks are listed once, and the pass walks them again while a walk
+    swaps.  _saturated_screen gives every block's pair and a gain at most
+    its own; only a block whose screened gain beats the gain floor is
+    priced exactly, by two_flip_delta, which decides.  The screen is taken
+    again after each swap, the only time the state moves, so the pass makes
+    the same swaps, in the same order, as pricing every saturated block.
     """
-    moved = False
+    size = np.diff(state.inst.block_cols.ptr)
+    blocks = np.flatnonzero((state.blk == state.d) & (state.blk > 0) & (size > state.blk))
+    j1, j2, low = _saturated_screen(state, blocks)
+    p, moved, swapped = 0, False, False
     while budget[0] > 0:
-        updated = False
-        blocks, _, _, low = _saturated_screen(state)
-        p = 0
-        while budget[0] > 0:
-            ahead = np.flatnonzero(low[p:] < -gain_tol(state))
-            if ahead.size == 0:
+        ahead = np.flatnonzero(low[p:] < -gain_tol(state))
+        if ahead.size == 0:
+            if not swapped:
                 break
-            p += int(ahead[0])
-            j1, j2 = _block_argmin_pair(state, blocks[p])
-            p += 1
-            if state.two_flip_delta(j1, j2) < -gain_tol(state):
-                state._flip_down(j1)
-                state._flip_up(j2)
-                _observe(tracker, state)
-                budget[0] -= 1
-                updated = moved = True
-                # a swap inside a block leaves every block count, so the
-                # same blocks come back in the same order
-                blocks, _, _, low = _saturated_screen(state)
-        if not updated:
-            break
+            p, swapped = 0, False
+            continue
+        p += int(ahead[0])
+        drop, add = int(j1[p]), int(j2[p])
+        p += 1
+        if state.two_flip_delta(drop, add) < -gain_tol(state):
+            state._flip_down(drop)
+            state._flip_up(add)
+            _observe(tracker, state)
+            budget[0] -= 1
+            moved = swapped = True
+            j1, j2, low = _saturated_screen(state, blocks)
     return moved
 
 

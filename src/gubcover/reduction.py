@@ -35,32 +35,26 @@ def fix_columns(inst, x_star, x_hat, u, rng):
     of the fixed columns (apply_fixing), and whether the candidate pool ran
     dry before the coverage target.
     """
-    pool = list(np.flatnonzero(np.asarray(x_star, bool) & np.asarray(x_hat, bool)))
+    pool = np.flatnonzero(np.asarray(x_star, bool) & np.asarray(x_hat, bool))
     rc = reduced_costs(inst, np.asarray(u, dtype=float))
     target = math.ceil(FIX_FRACTION * inst.m)
     covered = np.zeros(inst.m, dtype=np.int64)
-    satisfied = int((inst.demand <= 0).sum())
     fixed = []
-    exhausted = False
-    while satisfied < target:
-        if not pool:
-            exhausted = True
-            break
-        live = np.asarray(pool)
-        vals = rc[live]
+    while np.count_nonzero(covered >= inst.demand) < target:
+        if pool.size == 0:
+            return apply_fixing(inst, fixed), True
+        vals = rc[pool]
         gaps = vals.max() - vals
         total = gaps.sum()
         if total > 0:
-            pick = int(rng.choice(live.size, p=gaps / total))
+            pick = int(rng.choice(pool.size, p=gaps / total))
         else:
-            pick = int(rng.integers(live.size))
-        j = pool.pop(pick)
+            pick = int(rng.integers(pool.size))
+        j = int(pool[pick])
+        pool = np.delete(pool, pick)
         fixed.append(j)
-        for i in inst.col_rows[j]:
-            covered[i] += 1
-            if covered[i] == inst.demand[i]:
-                satisfied += 1
-    return apply_fixing(inst, np.asarray(fixed, dtype=np.int64)), exhausted
+        covered[inst.col_rows[j]] += 1
+    return apply_fixing(inst, fixed), False
 
 
 @dataclass

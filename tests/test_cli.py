@@ -286,6 +286,20 @@ def test_generate_manual_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--block-size", "0", "--cap", "1"], "block_size must be positive"),
+    (["--block-size", "6", "--cap", "3", "--cost-range", "1", "9223372036854775807"],
+     "must fit in int64"),
+])
+def test_generate_manual_rejects_bad_shape_or_costs(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.gub"
+    assert cli.main(["generate", "--rows", "12", "--cols", "24", "--density", "0.3",
+                     *flags, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_generate_unknown_class(tmp_path, capsys):
     rc = cli.main(["generate", "--class", "Z", "--out", str(tmp_path / "z.gub")])
     assert rc == 1

@@ -1,4 +1,5 @@
 import gzip
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from gubcover import io as gio
 from gubcover import model
+from gubcover.driver import SolverConfig, solve
 from gubcover.io import FormatError, GeneratorParams
 from gubcover.model import Instance
 
@@ -195,6 +197,15 @@ def test_generator_rejects_bad_params():
     with pytest.raises(ValueError, match="seed must be non-negative"):
         GeneratorParams(rows=10, cols=100, density=0.1,
                         block_size=10, cap=1, seed=-3).check()
+    with pytest.raises(ValueError, match="block_size must be positive"):
+        GeneratorParams(rows=10, cols=100, density=0.1,
+                        block_size=0, cap=1).check()
+    # 100 costs of up to 2**62 could sum beyond int64
+    with pytest.raises(ValueError, match="must fit in int64"):
+        GeneratorParams(rows=10, cols=100, density=0.1,
+                        block_size=10, cap=1, cost_hi=2**62).check()
+    GeneratorParams(rows=10, cols=100, density=0.1, block_size=10, cap=1,
+                    cost_hi=np.iinfo(np.int64).max // 100).check()
 
 
 def test_generator_rejects_rows_it_cannot_cover():
@@ -209,17 +220,13 @@ def test_generator_rejects_rows_it_cannot_cover():
 
 
 def test_result_serialization(tmp_path):
-    payload = {
-        "objective": 8, "feasible": True, "penalized": 8.0, "lower_bound": 6.0,
-        "iterations": 3, "elapsed": 0.1, "seed": 0, "build": "test",
-        "instance": "t1", "scheme": "pseudo",
-    }
+    result = solve(build_t1(), SolverConfig(max_iterations=1, time_limit=1e6))
     out = tmp_path / "run.json"
-    gio.write_result_json(payload, out, instance_name="t1.gub")
-    text = out.read_text()
-    assert '"objective": 8' in text
-    assert '"feasible": true' in text
-    assert '"instance_name": "t1.gub"' in text
+    gio.write_result_json(result, out, instance_name="t1.gub")
+    payload = json.loads(out.read_text())
+    assert payload["objective"] == 8 and payload["feasible"] is True
+    assert payload["selected"] == [1, 2]
+    assert payload["instance_name"] == "t1.gub"
 
 
 # -- array readers: equality with from_columns, and malformed input ----------

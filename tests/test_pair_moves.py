@@ -59,6 +59,16 @@ def trial_swap_scan(state, budget):
     return False
 
 
+def block_argmin_pair(state, h):
+    """Best drop and best add inside block h, which has both kinds of member."""
+    members = state.inst.block_cols[h]
+    selected = members[state.x[members]]
+    addable = members[~state.x[members]]
+    j1 = selected[int(np.argmin(-state.costf[selected] + state.dp_down[selected]))]
+    j2 = addable[int(np.argmin(state.costf[addable] - state.dp_up[addable]))]
+    return int(j1), int(j2)
+
+
 def unbounded_swap_saturated(state, budget):
     """The saturated-block pass that prices every saturated block."""
     moved = False
@@ -70,7 +80,7 @@ def unbounded_swap_saturated(state, budget):
             members = state.inst.block_cols[h]
             if state.x[members].all() or not state.x[members].any():
                 continue
-            j1, j2 = ls._block_argmin_pair(state, h)
+            j1, j2 = block_argmin_pair(state, h)
             if state.two_flip_delta(j1, j2) < -ls.gain_tol(state):
                 state._flip_down(j1)
                 state._flip_up(j2)
@@ -164,13 +174,14 @@ def test_saturated_screen_matches_argmin_pair(restricted):
                  else random_state(rng, random_instance(rng, cost_hi=cost_hi), integer))
         if few:
             state.set_weights(rng.integers(1, 3, size=state.inst.m).astype(float))
-        blocks, j1, j2, low = ls._saturated_screen(state)
-        want = [h for h, members in enumerate(state.inst.block_cols)
-                if state.blk[h] == state.d[h]
-                and state.x[members].any() and not state.x[members].all()]
-        assert blocks.tolist() == want
-        for h, a, b, g in zip(blocks, j1, j2, low):
-            assert (a, b) == ls._block_argmin_pair(state, h)
+        want = np.array([h for h, members in enumerate(state.inst.block_cols)
+                         if state.blk[h] == state.d[h]
+                         and state.x[members].any() and not state.x[members].all()],
+                        dtype=np.int64)
+        j1, j2, low = ls._saturated_screen(state, want)
+        assert j1.size == j2.size == low.size == want.size
+        for h, a, b, g in zip(want, j1, j2, low):
+            assert (a, b) == block_argmin_pair(state, h)
             exact = state.two_flip_delta(a, b)
             assert g <= exact and exact - g < 1e-6 * max(1.0, abs(exact))
             members = state.inst.block_cols[h]
@@ -251,4 +262,29 @@ def test_bounded_saturated_pass_matches_unbounded(restricted):
         assert got == want and budget == ref_budget
         assert state_key(state) == state_key(ref)
         moved += got
+    assert moved > 20
+
+
+def test_saturated_pass_screens_once_per_swap(monkeypatch):
+    """One screen up front and one after each swap.  Every pass that swaps
+    walks the blocks again to find nothing left, and that walk reuses the
+    screen in hand, since the state has not moved since it was taken."""
+    rng = np.random.default_rng(130)
+    calls = [0]
+    screen = ls._saturated_screen
+
+    def counted(*args):
+        calls[0] += 1
+        return screen(*args)
+
+    monkeypatch.setattr(ls, "_saturated_screen", counted)
+    moved = 0
+    for _ in range(200):
+        state = random_state(rng, integer=bool(rng.integers(2)))
+        calls[0] = 0
+        budget = [1 << 20]
+        ls._step_swap_saturated(state, None, budget)
+        swaps = (1 << 20) - budget[0]
+        assert calls[0] == 1 + swaps
+        moved += swaps > 0
     assert moved > 20

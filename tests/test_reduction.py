@@ -65,6 +65,52 @@ def test_fix_columns_sampling_properties():
         assert np.all(red.open_rows(u)[~satisfied] == u[~satisfied])
 
 
+def fix_columns_by_row_loop(inst, x_star, x_hat, u, rng):
+    """(fixed, exhausted) of fix_columns, with a list pool and a per-row
+    satisfied counter."""
+    pool = list(np.flatnonzero(x_star & x_hat))
+    rc = reduced_costs(inst, u)
+    target = int(np.ceil(reduction.FIX_FRACTION * inst.m))
+    covered = np.zeros(inst.m, dtype=np.int64)
+    satisfied = int((inst.demand <= 0).sum())
+    fixed = []
+    while satisfied < target:
+        if not pool:
+            return fixed, True
+        vals = rc[np.asarray(pool)]
+        gaps = vals.max() - vals
+        if gaps.sum() > 0:
+            pick = int(rng.choice(len(pool), p=gaps / gaps.sum()))
+        else:
+            pick = int(rng.integers(len(pool)))
+        j = pool.pop(pick)
+        fixed.append(j)
+        for i in inst.col_rows[j]:
+            covered[i] += 1
+            satisfied += covered[i] == inst.demand[i]
+    return fixed, False
+
+
+def test_fix_columns_matches_row_loop():
+    rng = np.random.default_rng(52)
+    exhausted_runs = 0
+    for _ in range(100):
+        inst = random_instance(rng)
+        a = random_gub_feasible(rng, inst)
+        b = a if rng.integers(2) else random_gub_feasible(rng, inst)
+        u = rng.uniform(0, 5, size=inst.m) * (rng.random(inst.m) < 0.8)
+        seed = int(rng.integers(1 << 30))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        red, exhausted = reduction.fix_columns(inst, a, b, u, got_rng)
+        fixed, want_exhausted = fix_columns_by_row_loop(inst, a, b, u, want_rng)
+        assert np.array_equal(fixed_of(red), np.sort(fixed))
+        assert exhausted == want_exhausted
+        # the same draws, so the caller's stream is left in the same place
+        assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+        exhausted_runs += exhausted
+    assert 10 < exhausted_runs < 90
+
+
 def test_fix_columns_deterministic_per_seed(t1):
     x = as_bool(4, [1, 2])
     u = np.zeros(3)  # equal reduced costs: uniform draw
