@@ -17,6 +17,7 @@ transparently gzip-decompressed for .gz paths:
 from __future__ import annotations
 
 import csv
+import functools
 import gzip
 import itertools
 import json
@@ -44,15 +45,27 @@ def _open_text(path, mode="rt"):
 
 # -- readers ---------------------------------------------------------------
 #
-# Each reader parses the whole file into one int64 array, keeping the token
-# count of every line, and walks it with a _Cursor in file order.  Runs of
-# fields and the entries of each list are range-checked as whole arrays;
-# only list headers are visited one by one.  Any break raises the
-# FormatError of the first offending token in the file, on the line that
-# holds it.  The parsers return arrays that own their data, so the token
-# array is freed before the instance is built.
+# Each reader parses the whole file into one int64 array and walks it with a
+# _Cursor in file order.  Runs of fields and the entries of each list are
+# range-checked as whole arrays; only list headers are visited one by one.
+# Any break raises the FormatError of the first offending token in the file,
+# on the line that holds it.  The parsers return arrays that own their data,
+# so the token array is freed before the instance is built.
+#
+# Two tokenizers fill the array.  _fast_tokens converts the raw bytes in C.
+# It takes every file whose bytes are ASCII digits, signs and the six ASCII
+# whitespace bytes, each sign opening a token of digits, and whose values
+# all lie strictly inside int64: every file write_gub and generate make, and
+# the OR-Library and RAIL files.  It declines every other file (any other
+# byte, "1_000", Unicode digits or separators, a value at or beyond int64's
+# ends, a bad token), which goes to _int_tokens, the line walk that reads
+# each token as int() does and that the fast path must match.  The walk also
+# gives the per-line token counts that word an error, so a file the fast
+# path took is walked again only to raise.
 
-_BATCH = 1 << 16  # tokens per numpy conversion
+_BATCH = 1 << 16  # tokens per numpy conversion in _int_tokens
+_WINDOW = 1 << 20  # bytes _fast_tokens classifies at a time
+_TOKEN_BYTES = b"0123456789+- \t\n\r\v\f"  # digits, signs, ASCII whitespace
 
 
 def _is_int64(word):
@@ -74,12 +87,13 @@ def _int_tokens(path):
     """(tokens, ends): the file's whitespace tokens as int64, and ends[L] the
     number of tokens on lines 1..L (ends[0] = 0).
 
-    Lines are read in text mode and converted in batches of about _BATCH
-    tokens, so every token is parsed as int() parses it and the strings of
-    the whole file never exist at once.  Conversion stops after the batch
-    holding the first token that is not an int64: tokens then ends just
-    before it, the lines after that batch are only counted, and
-    ends[-1] > tokens.size.
+    The reference tokenizer, for the files _fast_tokens declines and for
+    the line numbers of an error.  Lines are read in text mode and
+    converted in batches of about _BATCH tokens, so every token is parsed
+    as int() parses it and the strings of the whole file never exist at
+    once.  Conversion stops after the batch holding the first token that
+    is not an int64: tokens then ends just before it, the lines after that
+    batch are only counted, and ends[-1] > tokens.size.
     """
     parts, counts, batch = [], [], []
     with _open_text(path) as fh:
@@ -98,6 +112,44 @@ def _int_tokens(path):
     return np.concatenate(parts), np.cumsum([0] + counts, dtype=np.int64)
 
 
+def _fast_tokens(path):
+    """The file's whitespace tokens as int64, converted from its bytes in C,
+    or None for a file whose conversion might differ from _int_tokens'.
+
+    The bytes are classified _WINDOW at a time.  Any byte outside
+    _TOKEN_BYTES, or a sign that does not open its token or is not
+    followed by a digit, declines the file; what is left has only tokens
+    [+-]?[0-9]+, which int() and C's strtoll read alike.  strtoll clamps
+    a value beyond int64 to its ends, so a value at either end declines the
+    file too, as does a conversion that does not give one value per token.
+    """
+    with _open_text(path, "rb") as fh:
+        raw = fh.read()
+    whole = np.frombuffer(raw, dtype=np.uint8)
+    count, after_space = 0, True
+    for lo in range(0, whole.size, _WINDOW):
+        chunk = raw[lo:lo + _WINDOW]
+        if chunk.translate(None, _TOKEN_BYTES):
+            return None
+        window = whole[lo:lo + _WINDOW]
+        space = window <= 32  # of the bytes left, only the spaces lie below "+"
+        count += np.count_nonzero(space[:-1] > space[1:]) + (after_space and not space[0])
+        after_space = bool(space[-1])
+        if b"+" in chunk or b"-" in chunk:
+            at = lo + np.flatnonzero((window == ord("+")) | (window == ord("-")))
+            if at[-1] + 1 == whole.size:
+                return None
+            opens = (at == 0) | (whole[at - 1] <= 32)
+            if not (opens.all() and (whole[at + 1] >= ord("0")).all()):
+                return None
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    tok = np.fromstring(raw, dtype=np.int64, sep=" ")
+    if tok.size != count or tok.max() == _INT64.max or tok.min() == _INT64.min:
+        return None
+    return tok
+
+
 def _first_bad(values, lo, hi):
     """Index of the first value outside [lo, hi] (no upper end if hi is None),
     or values.size if there is none."""
@@ -113,14 +165,26 @@ class _Cursor:
     """The token array of one file, read field by field in file order.
 
     A field is named by a format string that takes its 1-based index, such
-    as "cost of column {}".
+    as "cost of column {}".  count is the number of tokens in the file;
+    tok holds them all but when a token is not an int64.
     """
 
     def __init__(self, path):
         self.path = path
-        self.tok, self.ends = _int_tokens(path)
-        self.size = self.tok.size
+        tok = _fast_tokens(path)
+        if tok is None:
+            tok, self.ends = _int_tokens(path)
+            self.count = int(self.ends[-1])
+        else:
+            self.count = tok.size
+        self.tok, self.size = tok, tok.size
         self.pos = 0
+
+    @functools.cached_property
+    def ends(self):
+        """ends[L]: the tokens on lines 1..L, from the line walk; only an
+        error message needs them."""
+        return _int_tokens(self.path)[1]
 
     def run(self, count, what, lo, hi=None):
         """The next count fields, each in [lo, hi]."""
@@ -171,7 +235,7 @@ class _Cursor:
 
     def end(self):
         """Raise if any token follows the fields read."""
-        if self.pos < self.ends[-1]:
+        if self.pos < self.count:
             raise FormatError(
                 f"line {self._line(self.pos)}: trailing data {self._word(self.pos)!r}")
 
@@ -188,7 +252,7 @@ class _Cursor:
     def _fail(self, at, what):
         """Raise for the field what at token at, which is out of range, not
         an int64, or past the end of the file."""
-        if at == self.ends[-1]:
+        if at == self.count:
             raise FormatError(
                 f"line {self.ends.size - 1}: unexpected end of file while reading {what}")
         if at < self.size:
@@ -215,7 +279,11 @@ def _parse_gub(cur):
         k, [("cap of block {}", 0, None), ("size of block {}", 1, n)], "member of block {}", n)
     cur.end()
     # each column in exactly one block; a repeat inside one block is allowed
-    distinct = np.unique(block_ids.astype(np.int64) * n + members)
+    key = block_ids.astype(np.int64)
+    key *= n
+    key += members
+    key.sort()
+    distinct = key[np.concatenate(([True], key[1:] != key[:-1]))]
     seen = np.bincount(distinct % n, minlength=n)
     if np.any(seen != 1):
         j = int(np.argmax(seen != 1))
@@ -236,7 +304,7 @@ def _parse_orlib(cur):
 def _parse_rail(cur):
     # only m bounds the rows, and it sizes the demand array: cap it at the
     # file's token count, which every coverable file meets (a row needs an entry)
-    m = cur.run(1, "row count", 1, cur.ends[-1]).item()
+    m = cur.run(1, "row count", 1, cur.count).item()
     n = cur.run(1, "column count", 1).item()
     (cost,), cols, rows = cur.lists(
         n, [("cost of column {}", 1, None), ("row count of column {}", 1, m)],

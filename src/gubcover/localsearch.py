@@ -347,9 +347,12 @@ def _step_swap_saturated(state, tracker, budget):
     priced exactly, by two_flip_delta, which decides.  The screen is taken
     again after each swap, the only time the state moves, so the pass makes
     the same swaps, in the same order, as pricing every saturated block.
+    With no saturated block the pass returns before any screen.
     """
     size = np.diff(state.inst.block_cols.ptr)
     blocks = np.flatnonzero((state.blk == state.d) & (state.blk > 0) & (size > state.blk))
+    if blocks.size == 0:
+        return False
     j1, j2, low = _saturated_screen(state, blocks)
     p, moved, swapped = 0, False, False
     while budget[0] > 0:

@@ -56,8 +56,10 @@ class Csr:
         key = np.array(owner, dtype=np.int64)
         key *= size
         key += member
-        key.sort()
-        if key.size > 1:
+        # pairs given in order, as a written file lists its rows and blocks,
+        # are already sorted and distinct
+        if key.size > 1 and not (key[1:] > key[:-1]).all():
+            key.sort()
             fresh = key[1:] != key[:-1]
             if not fresh.all():
                 key = key[np.concatenate(([True], fresh))]

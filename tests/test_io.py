@@ -1,5 +1,6 @@
 import gzip
 import json
+import re
 
 import numpy as np
 import pytest
@@ -310,6 +311,11 @@ def _write_tokens(path, toks, breaks):
 SUFFIX = {"gub": ".gub", "orlib": ".txt", "rail": ".txt"}
 
 
+def _walk_only(mp):
+    """Send every file to the line walk, as if the fast path declined it."""
+    mp.setattr(gio, "_fast_tokens", lambda path: None)
+
+
 @pytest.mark.parametrize("zipped", [False, True])
 @pytest.mark.parametrize("fmt", gio.FORMATS)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -320,9 +326,12 @@ def test_reader_matches_from_columns(tmp_path, fmt, zipped, data):
     batch = data.draw(st.sampled_from([1, 3, 1 << 16]))
     path = tmp_path / ("f" + SUFFIX[fmt] + (".gz" if zipped else ""))
     _write_tokens(path, toks, breaks)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gio, "_BATCH", batch)
-        assert_same_instance(gio.read_instance(path, fmt), expected)
+    for fast in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gio, "_BATCH", batch)
+            if not fast:
+                _walk_only(mp)
+            assert_same_instance(gio.read_instance(path, fmt), expected)
 
 
 def test_gub_reader_sorts_and_dedups(tmp_path):
@@ -469,9 +478,13 @@ def test_reader_errors_match_reference_walk(tmp_path, fmt, data):
     path = tmp_path / ("f" + SUFFIX[fmt])
     path.write_text(text)
     want = _outcome(reader_reference.check_file, path, fmt)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gio, "_BATCH", data.draw(st.sampled_from([1, 2, 5, 1 << 16])))
-        assert _outcome(_parse, path, fmt) == want
+    batch = data.draw(st.sampled_from([1, 2, 5, 1 << 16]))
+    for fast in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gio, "_BATCH", batch)
+            if not fast:
+                _walk_only(mp)
+            assert _outcome(_parse, path, fmt) == want
 
 
 @pytest.mark.parametrize("fmt", gio.FORMATS)
@@ -480,7 +493,11 @@ def test_reader_short_files_match_reference_walk(tmp_path, fmt, text):
     path = tmp_path / ("short" + SUFFIX[fmt] + ".gz")
     with gzip.open(path, "wt") as fh:
         fh.write(text)
-    assert _outcome(_parse, path, fmt) == _outcome(reader_reference.check_file, path, fmt)
+    want = _outcome(reader_reference.check_file, path, fmt)
+    assert _outcome(_parse, path, fmt) == want
+    with pytest.MonkeyPatch.context() as mp:
+        _walk_only(mp)
+        assert _outcome(_parse, path, fmt) == want
 
 
 def test_rail_row_count_beyond_int64_buffer(tmp_path):
@@ -501,9 +518,12 @@ def test_rail_row_count_bounded_by_file_tokens(tmp_path, batch, m):
     want = ("line 1: row count 9 out of range" if m == 9
             else "line 3: trailing data 'x'")
     assert _outcome(reader_reference.check_file, path, "rail") == want
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gio, "_BATCH", batch)
-        assert _outcome(gio.read_rail, path) == want
+    for fast in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gio, "_BATCH", batch)
+            if not fast:
+                _walk_only(mp)
+            assert _outcome(gio.read_rail, path) == want
 
 
 def test_parse_solution_index_beyond_int64(tmp_path):
@@ -512,3 +532,105 @@ def test_parse_solution_index_beyond_int64(tmp_path):
     with pytest.raises(FormatError,
                        match="^token 2: column index 99999999999999999999 out of range$"):
         gio.parse_solution(path)
+
+
+# -- the C tokenizer against the line walk -----------------------------------
+
+# digits and signs, the six ASCII whitespace bytes, and bytes that str.split()
+# or int() treat apart from C: "_" and "." inside numbers, the \x1c separator,
+# a non-ASCII letter, NUL, and a letter
+BYTE_ALPHABET = [bytes([b]) for b in b"0123456789+- \t\n\r\v\f"] + [
+    b"x", b"_", b".", b"\x1c", "\u00e9".encode(), b"\0"]
+INT64_MAX, INT64_MIN = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+
+
+def _token_file(tmp_path, raw, name="raw.txt"):
+    path = tmp_path / name
+    if name.endswith(".gz"):
+        with gzip.open(path, "wb") as fh:
+            fh.write(raw)
+    else:
+        path.write_bytes(raw)
+    return path
+
+
+def _plain(raw):
+    """Whether every token of raw is [+-]?[0-9]+ strictly inside int64,
+    between the six ASCII whitespace bytes: the files the fast path takes."""
+    if raw.translate(None, b"0123456789+- \t\n\r\v\f"):
+        return False
+    words = raw.split()
+    return all(re.fullmatch(rb"[+-]?[0-9]+", w) and INT64_MIN < int(w) < INT64_MAX
+               for w in words)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(parts=st.lists(st.sampled_from(BYTE_ALPHABET), max_size=40),
+       window=st.sampled_from([1, 2, 3, 1 << 20]))
+def test_fast_tokens_match_line_walk(tmp_path, parts, window):
+    raw = b"".join(parts)
+    path = _token_file(tmp_path, raw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gio, "_WINDOW", window)
+        fast = gio._fast_tokens(path)
+    assert (fast is not None) == _plain(raw)
+    if fast is not None:
+        tok, ends = gio._int_tokens(path)
+        assert fast.dtype == tok.dtype and np.array_equal(fast, tok)
+        assert ends[-1] == fast.size
+
+
+@pytest.mark.parametrize("text,want", [
+    ("", []), ("  ", []), ("-", None), ("+", None), ("1-2", None),
+    ("+07", [7]), ("-0", [0]), (f"{INT64_MAX}", None), (f"{INT64_MIN}", None),
+    (f"{INT64_MAX - 1} {INT64_MIN + 1}", [INT64_MAX - 1, INT64_MIN + 1]),
+    ("99999999999999999999", None), ("0000000000000000000000042", [42]),
+    ("1\v2\f3\r\n4", [1, 2, 3, 4]), (" 5 -6\n", [5, -6]),
+])
+@pytest.mark.parametrize("name", ["raw.txt", "raw.txt.gz"])
+def test_fast_tokens_cases(tmp_path, text, want, name):
+    path = _token_file(tmp_path, text.encode(), name)
+    fast = gio._fast_tokens(path)
+    if want is None:
+        assert fast is None
+    else:
+        assert fast.dtype == np.int64 and fast.tolist() == want
+        tok, _ = gio._int_tokens(path)
+        assert np.array_equal(fast, tok)
+
+
+def _scp_text(inst, fmt):
+    """inst's coverage as an orlib (row-major) or rail (column-major) file."""
+    lines = [f"{inst.m} {inst.n}"]
+    if fmt == "orlib":
+        lines.append(" ".join(str(c) for c in inst.cost))
+        lines += [" ".join(str(v) for v in [len(r)] + list(r + 1)) for r in inst.row_cols]
+    else:
+        lines += [" ".join(str(v) for v in [inst.cost[j], len(r)] + list(r + 1))
+                  for j, r in enumerate(inst.col_rows)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("zipped", [False, True])
+@pytest.mark.parametrize("fmt", gio.FORMATS)
+def test_read_instance_same_with_and_without_fast_path(tmp_path, fmt, zipped):
+    rng = np.random.default_rng(22)
+    for trial in range(5):
+        inst = random_instance(rng)
+        path = tmp_path / f"{trial}{SUFFIX[fmt]}{'.gz' if zipped else ''}"
+        if fmt == "gub":
+            gio.write_gub(inst, path)
+        else:
+            with gio._open_text(path, "wt") as fh:
+                fh.write(_scp_text(inst, fmt))
+        assert gio._fast_tokens(path) is not None
+        fast = gio.read_instance(path, fmt)
+        with pytest.MonkeyPatch.context() as mp:
+            _walk_only(mp)
+            walked = gio.read_instance(path, fmt)
+        assert fast == walked
+        assert (fast.cost_sum, fast.wbar) == (walked.cost_sum, walked.wbar)
+        assert_same_instance(fast, walked)
+        if fmt == "gub":
+            assert fast == inst

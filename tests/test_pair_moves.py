@@ -268,7 +268,8 @@ def test_bounded_saturated_pass_matches_unbounded(restricted):
 def test_saturated_pass_screens_once_per_swap(monkeypatch):
     """One screen up front and one after each swap.  Every pass that swaps
     walks the blocks again to find nothing left, and that walk reuses the
-    screen in hand, since the state has not moved since it was taken."""
+    screen in hand, since the state has not moved since it was taken.  A
+    pass with no saturated block screens nothing."""
     rng = np.random.default_rng(130)
     calls = [0]
     screen = ls._saturated_screen
@@ -278,13 +279,16 @@ def test_saturated_pass_screens_once_per_swap(monkeypatch):
         return screen(*args)
 
     monkeypatch.setattr(ls, "_saturated_screen", counted)
-    moved = 0
+    moved = empty = 0
     for _ in range(200):
         state = random_state(rng, integer=bool(rng.integers(2)))
+        size = np.diff(state.inst.block_cols.ptr)
+        saturated = np.any((state.blk == state.d) & (state.blk > 0) & (size > state.blk))
         calls[0] = 0
         budget = [1 << 20]
         ls._step_swap_saturated(state, None, budget)
         swaps = (1 << 20) - budget[0]
-        assert calls[0] == 1 + swaps
+        assert calls[0] == (1 + swaps if saturated else 0)
         moved += swaps > 0
-    assert moved > 20
+        empty += not saturated
+    assert moved > 20 and empty > 0
