@@ -17,10 +17,9 @@ transparently gzip-decompressed for .gz paths:
 from __future__ import annotations
 
 import csv
-import functools
 import gzip
-import itertools
 import json
+import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -37,10 +36,14 @@ class FormatError(ValueError):
 _INT64 = np.iinfo(np.int64)
 
 
-def _open_text(path, mode="rt"):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode)
-    return open(path, mode.rstrip("t") or "r")
+def _open(path, mode):
+    """path opened in mode, through gzip for a .gz path."""
+    return (gzip.open if str(path).endswith(".gz") else open)(path, mode)
+
+
+def _read(path):
+    with _open(path, "rb") as fh:
+        return fh.read()
 
 
 # -- readers ---------------------------------------------------------------
@@ -52,102 +55,94 @@ def _open_text(path, mode="rt"):
 # on the line that holds it.  The parsers return arrays that own their data,
 # so the token array is freed before the instance is built.
 #
-# Two tokenizers fill the array.  _fast_tokens converts the raw bytes in C.
-# It takes every file whose bytes are ASCII digits, signs and the six ASCII
-# whitespace bytes, each sign opening a token of digits, and whose values
-# all lie strictly inside int64: every file write_gub and generate make, and
-# the OR-Library and RAIL files.  It declines every other file (any other
-# byte, "1_000", Unicode digits or separators, a value at or beyond int64's
-# ends, a bad token), which goes to _int_tokens, the line walk that reads
-# each token as int() does and that the fast path must match.  The walk also
-# gives the per-line token counts that word an error, so a file the fast
-# path took is walked again only to raise.
+# One grammar, on bytes, holds for every file and every locale: tokens are
+# separated by the six ASCII whitespace bytes, and an integer is [+-]?[0-9]+
+# that fits in int64.  Any other token ("1_000", "1.5", a Unicode digit, a
+# token holding \x1c, a no-break space or a byte that is not UTF-8) is not an
+# integer.  _tokens converts the file in one C pass; an error message reads
+# the file again, through _locate, for the line and text of its token.
 
-_BATCH = 1 << 16  # tokens per numpy conversion in _int_tokens
-_WINDOW = 1 << 20  # bytes _fast_tokens classifies at a time
+_WINDOW = 1 << 20  # bytes _tokens classifies at a time
 _TOKEN_BYTES = b"0123456789+- \t\n\r\v\f"  # digits, signs, ASCII whitespace
+_NOT_TOKEN_BYTE = re.compile(rb"[^0-9+\-\s]")  # \s: the six ASCII whitespace bytes
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[list(b" \t\n\r\v\f")] = True
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _is_int64(word):
-    try:
-        return _INT64.min <= int(word) <= _INT64.max
-    except ValueError:
-        return False
+def _spans(raw):
+    """(starts, ends): the byte offsets of each token of raw."""
+    space = _IS_SPACE[np.frombuffer(raw, dtype=np.uint8)]
+    edges = np.flatnonzero(np.diff(space, prepend=True, append=True))
+    return edges[0::2], edges[1::2]
 
 
-def _as_int64(words):
-    """words as int64, cut before the first one that int() rejects or int64 cannot hold."""
-    try:
-        return np.array(words, dtype=np.int64)
-    except (ValueError, OverflowError):
-        return np.array(list(itertools.takewhile(_is_int64, words)), dtype=np.int64)
+def _bad_byte(whole, lo, chunk, clean):
+    """Offset of the first byte in the window chunk at lo that is not a
+    token byte or is a sign that does not open a token of digits, or None."""
+    window = whole[lo:lo + len(chunk)]
+    bad = [] if clean else [lo + _NOT_TOKEN_BYTE.search(chunk).start()]
+    if b"+" in chunk or b"-" in chunk:
+        at = lo + np.flatnonzero((window == ord("+")) | (window == ord("-")))
+        # a sign in the last byte is followed by itself, not by a digit
+        ok = (((at == 0) | (whole[at - 1] <= 32))
+              & (whole[np.minimum(at + 1, whole.size - 1)] >= ord("0")))
+        if not ok.all():
+            bad.append(int(at[np.argmin(ok)]))
+    return min(bad, default=None)
 
 
-def _int_tokens(path):
-    """(tokens, ends): the file's whitespace tokens as int64, and ends[L] the
-    number of tokens on lines 1..L (ends[0] = 0).
+def _tokens(path):
+    """(tok, count): as int64, the file's tokens before the first one that
+    is not an integer in int64, and the number of all its tokens.
 
-    The reference tokenizer, for the files _fast_tokens declines and for
-    the line numbers of an error.  Lines are read in text mode and
-    converted in batches of about _BATCH tokens, so every token is parsed
-    as int() parses it and the strings of the whole file never exist at
-    once.  Conversion stops after the batch holding the first token that
-    is not an int64: tokens then ends just before it, the lines after that
-    batch are only counted, and ends[-1] > tokens.size.
+    The bytes are classified _WINDOW at a time.  A window of only
+    _TOKEN_BYTES whose signs each open a token of digits passes; its
+    tokens are counted where a byte <= 32 (a space, among these bytes)
+    meets one above.  Only a window that fails finds its first bad byte,
+    and only the tokens before that byte's token are converted.  The
+    conversion is C's strtoll, which clamps a value beyond int64 to its
+    ends, so a value at either end is read again from its text.
     """
-    parts, counts, batch = [], [], []
-    with _open_text(path) as fh:
-        for line in fh:
-            before = len(batch)
-            batch += line.split()
-            counts.append(len(batch) - before)
-            if len(batch) >= _BATCH:
-                parts.append(_as_int64(batch))
-                if parts[-1].size < len(batch):
-                    counts += (len(rest.split()) for rest in fh)
-                    break
-                batch = []
-        else:
-            parts.append(_as_int64(batch))
-    return np.concatenate(parts), np.cumsum([0] + counts, dtype=np.int64)
-
-
-def _fast_tokens(path):
-    """The file's whitespace tokens as int64, converted from its bytes in C,
-    or None for a file whose conversion might differ from _int_tokens'.
-
-    The bytes are classified _WINDOW at a time.  Any byte outside
-    _TOKEN_BYTES, or a sign that does not open its token or is not
-    followed by a digit, declines the file; what is left has only tokens
-    [+-]?[0-9]+, which int() and C's strtoll read alike.  strtoll clamps
-    a value beyond int64 to its ends, so a value at either end declines the
-    file too, as does a conversion that does not give one value per token.
-    """
-    with _open_text(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read(path)
     whole = np.frombuffer(raw, dtype=np.uint8)
-    count, after_space = 0, True
+    count, after_space, bad = 0, True, None
     for lo in range(0, whole.size, _WINDOW):
         chunk = raw[lo:lo + _WINDOW]
-        if chunk.translate(None, _TOKEN_BYTES):
-            return None
+        clean = not chunk.translate(None, _TOKEN_BYTES)
         window = whole[lo:lo + _WINDOW]
-        space = window <= 32  # of the bytes left, only the spaces lie below "+"
+        space = window <= 32 if clean else _IS_SPACE[window]
         count += np.count_nonzero(space[:-1] > space[1:]) + (after_space and not space[0])
         after_space = bool(space[-1])
-        if b"+" in chunk or b"-" in chunk:
-            at = lo + np.flatnonzero((window == ord("+")) | (window == ord("-")))
-            if at[-1] + 1 == whole.size:
-                return None
-            opens = (at == 0) | (whole[at - 1] <= 32)
-            if not (opens.all() and (whole[at + 1] >= ord("0")).all()):
-                return None
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    tok = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if tok.size != count or tok.max() == _INT64.max or tok.min() == _INT64.min:
-        return None
-    return tok
+        if bad is None:
+            bad = _bad_byte(whole, lo, chunk, clean)
+    if bad is not None:
+        # the bytes before bad are token bytes: its token opens after the
+        # last space before it
+        raw = raw[:max(raw.rfind(bytes([c]), 0, bad) for c in b" \t\n\r\v\f") + 1]
+    tok = np.zeros(0, np.int64) if raw.isspace() else np.fromstring(raw, dtype=np.int64, sep=" ")
+    if tok.size and (tok.max() == _INT64.max or tok.min() == _INT64.min):
+        starts, ends = _spans(raw)
+        for i in np.flatnonzero((tok == _INT64.max) | (tok == _INT64.min)):
+            if not _INT64.min <= int(raw[starts[i]:ends[i]]) <= _INT64.max:
+                return tok[:i].copy(), count
+    return tok, count
+
+
+def _locate(path, at):
+    """(line, word): the 1-based line and the text of token at in the file,
+    or the file's line count and None for at past its last token.
+
+    Lines end at \\n, \\r and \\r\\n, as in text mode.  The text is
+    decoded as UTF-8, any other byte shown as a \\x escape.
+    """
+    raw = _read(path)
+    starts, ends = _spans(raw)
+    p = starts[at] if at < starts.size else len(raw)
+    line = 1 + raw.count(b"\n", 0, p) + raw.count(b"\r", 0, p) - raw.count(b"\r\n", 0, p)
+    if at < starts.size:
+        return line, raw[p:ends[at]].decode("utf-8", "backslashreplace")
+    return line - (not raw or raw.endswith((b"\n", b"\r"))), None
 
 
 def _first_bad(values, lo, hi):
@@ -166,25 +161,14 @@ class _Cursor:
 
     A field is named by a format string that takes its 1-based index, such
     as "cost of column {}".  count is the number of tokens in the file;
-    tok holds them all but when a token is not an int64.
+    tok holds them all but when a token is not an integer in int64.
     """
 
     def __init__(self, path):
         self.path = path
-        tok = _fast_tokens(path)
-        if tok is None:
-            tok, self.ends = _int_tokens(path)
-            self.count = int(self.ends[-1])
-        else:
-            self.count = tok.size
-        self.tok, self.size = tok, tok.size
+        self.tok, self.count = _tokens(path)
+        self.size = self.tok.size
         self.pos = 0
-
-    @functools.cached_property
-    def ends(self):
-        """ends[L]: the tokens on lines 1..L, from the line walk; only an
-        error message needs them."""
-        return _int_tokens(self.path)[1]
 
     def run(self, count, what, lo, hi=None):
         """The next count fields, each in [lo, hi]."""
@@ -236,35 +220,22 @@ class _Cursor:
     def end(self):
         """Raise if any token follows the fields read."""
         if self.pos < self.count:
-            raise FormatError(
-                f"line {self._line(self.pos)}: trailing data {self._word(self.pos)!r}")
-
-    def _line(self, at):
-        return int(np.searchsorted(self.ends, at, side="right"))
-
-    def _word(self, at):
-        """The text of token at, read again from the file."""
-        line = self._line(at)
-        with _open_text(self.path) as fh:
-            text = next(itertools.islice(fh, line - 1, None))
-        return text.split()[at - self.ends[line - 1]]
+            line, word = _locate(self.path, self.pos)
+            raise FormatError(f"line {line}: trailing data {word!r}")
 
     def _fail(self, at, what):
         """Raise for the field what at token at, which is out of range, not
-        an int64, or past the end of the file."""
+        an integer in int64, or past the end of the file."""
+        line, word = _locate(self.path, at)
         if at == self.count:
-            raise FormatError(
-                f"line {self.ends.size - 1}: unexpected end of file while reading {what}")
+            raise FormatError(f"line {line}: unexpected end of file while reading {what}")
         if at < self.size:
             value = self.tok.item(at)
+        elif _INTEGER.fullmatch(word):
+            value = int(word)
         else:
-            word = self._word(at)
-            try:
-                value = int(word)
-            except ValueError:
-                raise FormatError(
-                    f"line {self._line(at)}: expected integer ({what}), got {word!r}") from None
-        raise FormatError(f"line {self._line(at)}: {what} {value} out of range")
+            raise FormatError(f"line {line}: expected integer ({what}), got {word!r}")
+        raise FormatError(f"line {line}: {what} {value} out of range")
 
 
 def _parse_gub(cur):
@@ -345,7 +316,7 @@ def read_instance(path, fmt="gub") -> Instance:
 
 
 def write_gub(inst: Instance, path):
-    with _open_text(path, "wt") as fh:
+    with _open(path, "wt") as fh:
         fh.write(f"{inst.m} {inst.n} {inst.k}\n")
         fh.write(" ".join(str(int(c)) for c in inst.cost) + "\n")
         fh.write(" ".join(str(int(b)) for b in inst.demand) + "\n")
@@ -363,18 +334,16 @@ def write_gub(inst: Instance, path):
 
 def parse_solution(path) -> np.ndarray:
     """Read a solution as whitespace-separated 1-based column indices."""
-    with _open_text(path) as fh:
-        tokens = fh.read().split()
-    out = []
-    for pos, tok in enumerate(tokens, start=1):
-        try:
-            value = int(tok)
-        except ValueError:
-            raise FormatError(f"token {pos}: expected column index, got {tok!r}") from None
-        if not 1 <= value <= _INT64.max:
-            raise FormatError(f"token {pos}: column index {value} out of range")
-        out.append(value - 1)
-    return np.asarray(sorted(set(out)), dtype=np.int64)
+    tok, count = _tokens(path)
+    at = _first_bad(tok, 1, None)
+    if at < tok.size:
+        raise FormatError(f"token {at + 1}: column index {tok.item(at)} out of range")
+    if at < count:
+        word = _locate(path, at)[1]
+        if not _INTEGER.fullmatch(word):
+            raise FormatError(f"token {at + 1}: expected column index, got {word!r}")
+        raise FormatError(f"token {at + 1}: column index {int(word)} out of range")
+    return np.unique(tok) - 1
 
 
 # -- random instances ---------------------------------------------------

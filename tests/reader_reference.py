@@ -1,18 +1,25 @@
 """Token-by-token reference readers for the three instance formats.
 
 The array readers in gubcover.io check whole runs of fields at once and
-locate an error from per-line token counts.  These walks read one token at
+locate an error in the file's bytes.  These walks read one token at
 a time and check each field as they go, so the first offending token is the
 first they meet; the differential tests in test_io.py require the array
 readers to accept exactly the files these accept and to raise the same
 FormatError message on every other file.
+
+The grammar is on bytes: lines end at LF, CR and CR LF, tokens are split
+at the six ASCII whitespace bytes, and an integer is [+-]?[0-9]+ in int64.
+A token is quoted as its UTF-8 text, other bytes as backslash escapes.
 """
 
 from __future__ import annotations
 
+import gzip
+import re
+
 import numpy as np
 
-from gubcover.io import FormatError, _open_text
+from gubcover.io import FormatError
 
 _INT64 = np.iinfo(np.int64)
 
@@ -20,20 +27,19 @@ _INT64 = np.iinfo(np.int64)
 class _Tokens:
     """Whitespace token stream that tracks line numbers for error messages."""
 
-    def __init__(self, fh, size):
-        self.size = size  # tokens in the whole file
-        self._lines = enumerate(fh, start=1)
+    def __init__(self, lines):
+        self.size = sum(len(line.split()) for line in lines)  # tokens in the whole file
+        self._lines = enumerate(lines, start=1)
         self._line_no = 0
         self._buf = iter(())
 
     def next_int(self, what, lo=None, hi=None):
         tok = self._next(what)
-        try:
-            value = int(tok)
-        except ValueError:
+        if not re.fullmatch(rb"[+-]?[0-9]+", tok):
             raise FormatError(
-                f"line {self._line_no}: expected integer ({what}), got {tok!r}"
-            ) from None
+                f"line {self._line_no}: expected integer ({what}), got {_text(tok)!r}"
+            )
+        value = int(tok)
         if (value < _INT64.min or value > _INT64.max
                 or (lo is not None and value < lo) or (hi is not None and value > hi)):
             raise FormatError(f"line {self._line_no}: {what} {value} out of range")
@@ -61,7 +67,11 @@ class _Tokens:
                     tok = toks[0]
                     break
         if tok is not None:
-            raise FormatError(f"line {self._line_no}: trailing data {tok!r}")
+            raise FormatError(f"line {self._line_no}: trailing data {_text(tok)!r}")
+
+
+def _text(tok):
+    return tok.decode("utf-8", "backslashreplace")
 
 
 def _walk_gub(t):
@@ -119,7 +129,6 @@ WALKS = {"gub": _walk_gub, "orlib": _walk_orlib, "rail": _walk_rail}
 
 def check_file(path, fmt):
     """Walk the file in fmt; FormatError if it is malformed, None if not."""
-    with _open_text(path) as fh:
-        size = sum(len(line.split()) for line in fh)
-    with _open_text(path) as fh:
-        WALKS[fmt](_Tokens(fh, size))
+    with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    WALKS[fmt](_Tokens(lines))

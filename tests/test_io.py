@@ -1,6 +1,10 @@
 import gzip
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,20 +304,19 @@ def _write_tokens(path, toks, breaks):
     for at in sorted(breaks, reverse=True):
         if 0 < at < len(words):
             words.insert(at, "\n")
-    text = " ".join(words) + "\n"
+    _write_bytes(path, (" ".join(words) + "\n").encode())
+
+
+def _write_bytes(path, raw):
     if str(path).endswith(".gz"):
-        with gzip.open(path, "wt") as fh:
-            fh.write(text)
+        with gzip.open(path, "wb") as fh:
+            fh.write(raw)
     else:
-        path.write_text(text)
+        path.write_bytes(raw)
+    return path
 
 
 SUFFIX = {"gub": ".gub", "orlib": ".txt", "rail": ".txt"}
-
-
-def _walk_only(mp):
-    """Send every file to the line walk, as if the fast path declined it."""
-    mp.setattr(gio, "_fast_tokens", lambda path: None)
 
 
 @pytest.mark.parametrize("zipped", [False, True])
@@ -323,15 +326,12 @@ def _walk_only(mp):
 def test_reader_matches_from_columns(tmp_path, fmt, zipped, data):
     toks, expected = data.draw(raw_files(fmt))
     breaks = data.draw(st.lists(st.integers(0, len(toks)), max_size=8))
-    batch = data.draw(st.sampled_from([1, 3, 1 << 16]))
+    window = data.draw(st.sampled_from([1, 3, 1 << 20]))
     path = tmp_path / ("f" + SUFFIX[fmt] + (".gz" if zipped else ""))
     _write_tokens(path, toks, breaks)
-    for fast in (True, False):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gio, "_BATCH", batch)
-            if not fast:
-                _walk_only(mp)
-            assert_same_instance(gio.read_instance(path, fmt), expected)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gio, "_WINDOW", window)
+        assert_same_instance(gio.read_instance(path, fmt), expected)
 
 
 def test_gub_reader_sorts_and_dedups(tmp_path):
@@ -417,7 +417,9 @@ def _mutate(toks, kind, at):
         return words + ["+07"]
     bad = {"word": "x", "decimal": "1.5", "negative": "-1",
            "digits20": "99999999999999999999", "zero": "0",
-           "oversized": str(np.iinfo(np.int64).max), "padded": "+07"}[kind]
+           "oversized": str(np.iinfo(np.int64).max), "padded": "+07",
+           "underscore": "1_000", "unicode_digit": "\u0663", "file_separator": "1\x1c1",
+           "nbsp": "1\u00a01", "xff": "\udcff"}[kind]
     words[at % len(words)] = bad
     return words
 
@@ -437,10 +439,15 @@ def test_malformed_tokens_raise_format_error(tmp_path, fmt, data):
 
 # -- the array readers against the token-by-token reference walk -------------
 
-# a valid count as large as int64 allows, and a non-canonical integer that
-# only reads back as written when the error quotes the file's own text
-DIFF_MUTATIONS = MUTATIONS + ("zero", "oversized", "padded", "padded_tail")
-TAILS = ("", "\n", "\n\n", "  \n", " \t\n\n", "   ")
+# a valid count as large as int64 allows, a non-canonical integer that only
+# reads back as written when the error quotes the file's own text, and tokens
+# outside the byte grammar that int() or str.split() would read as integers:
+# an underscore, an Arabic-Indic digit, \x1c and a no-break space inside a
+# token, and the byte \xff, which is not UTF-8 (written through
+# surrogateescape)
+DIFF_MUTATIONS = MUTATIONS + ("zero", "oversized", "padded", "padded_tail", "underscore",
+                              "unicode_digit", "file_separator", "nbsp", "xff")
+TAILS = ("", "\n", "\n\n", "  \n", " \t\n\n", "   ", "\r", "\r\n\r")
 
 
 # The grammar alone: building the instance is not the walk's business.
@@ -473,18 +480,14 @@ def test_reader_errors_match_reference_walk(tmp_path, fmt, data):
                             data.draw(st.integers(0, 10**6)))
     for at in sorted(data.draw(st.lists(st.integers(1, max(1, len(words) - 1)), max_size=8)),
                      reverse=True):
-        words.insert(at, "\n")
+        words.insert(at, data.draw(st.sampled_from(["\n", "\r\n", "\r"])))
     text = " ".join(words) + "\n" + data.draw(st.sampled_from(TAILS))
-    path = tmp_path / ("f" + SUFFIX[fmt])
-    path.write_text(text)
+    path = _write_bytes(tmp_path / ("f" + SUFFIX[fmt]), text.encode("utf-8", "surrogateescape"))
     want = _outcome(reader_reference.check_file, path, fmt)
-    batch = data.draw(st.sampled_from([1, 2, 5, 1 << 16]))
-    for fast in (True, False):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gio, "_BATCH", batch)
-            if not fast:
-                _walk_only(mp)
-            assert _outcome(_parse, path, fmt) == want
+    window = data.draw(st.sampled_from([1, 2, 5, 1 << 20]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gio, "_WINDOW", window)
+        assert _outcome(_parse, path, fmt) == want
 
 
 @pytest.mark.parametrize("fmt", gio.FORMATS)
@@ -493,11 +496,7 @@ def test_reader_short_files_match_reference_walk(tmp_path, fmt, text):
     path = tmp_path / ("short" + SUFFIX[fmt] + ".gz")
     with gzip.open(path, "wt") as fh:
         fh.write(text)
-    want = _outcome(reader_reference.check_file, path, fmt)
-    assert _outcome(_parse, path, fmt) == want
-    with pytest.MonkeyPatch.context() as mp:
-        _walk_only(mp)
-        assert _outcome(_parse, path, fmt) == want
+    assert _outcome(_parse, path, fmt) == _outcome(reader_reference.check_file, path, fmt)
 
 
 def test_rail_row_count_beyond_int64_buffer(tmp_path):
@@ -508,22 +507,19 @@ def test_rail_row_count_beyond_int64_buffer(tmp_path):
         gio.read_rail(path)
 
 
-@pytest.mark.parametrize("batch", [1, 1 << 16])
+@pytest.mark.parametrize("window", [1, 1 << 16])
 @pytest.mark.parametrize("m", [5, 8, 9])
-def test_rail_row_count_bounded_by_file_tokens(tmp_path, batch, m):
-    # eight tokens; the words after the column still count, also on the
-    # lines after the one where conversion stops
+def test_rail_row_count_bounded_by_file_tokens(tmp_path, window, m):
+    # eight tokens; the words after the column still count, also after the
+    # first one that is not an integer, where conversion stops
     path = tmp_path / "rows.txt"
     path.write_text(f"{m} 1\n5 1 1\nx\ny z\n")
     want = ("line 1: row count 9 out of range" if m == 9
             else "line 3: trailing data 'x'")
     assert _outcome(reader_reference.check_file, path, "rail") == want
-    for fast in (True, False):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gio, "_BATCH", batch)
-            if not fast:
-                _walk_only(mp)
-            assert _outcome(gio.read_rail, path) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gio, "_WINDOW", window)
+        assert _outcome(gio.read_rail, path) == want
 
 
 def test_parse_solution_index_beyond_int64(tmp_path):
@@ -534,103 +530,107 @@ def test_parse_solution_index_beyond_int64(tmp_path):
         gio.parse_solution(path)
 
 
-# -- the C tokenizer against the line walk -----------------------------------
+@pytest.mark.parametrize("raw,at,word", [
+    (b"3 2_0\n", 2, "2_0"), (b"1 \xff\n", 2, "\\xff"),
+    ("\u0663 1".encode(), 1, "\u0663"), ("2\u00a03".encode(), 1, "2\u00a03"),
+])
+def test_parse_solution_reads_the_byte_grammar(tmp_path, raw, at, word):
+    path = _write_bytes(tmp_path / "sol.txt", raw)
+    message = f"token {at}: expected column index, got {word!r}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        gio.parse_solution(path)
 
-# digits and signs, the six ASCII whitespace bytes, and bytes that str.split()
-# or int() treat apart from C: "_" and "." inside numbers, the \x1c separator,
-# a non-ASCII letter, NUL, and a letter
-BYTE_ALPHABET = [bytes([b]) for b in b"0123456789+- \t\n\r\v\f"] + [
-    b"x", b"_", b".", b"\x1c", "\u00e9".encode(), b"\0"]
+
+# Reads an orlib instance with an Arabic-Indic digit for a cost, then checks
+# a solution holding the byte \xff against a good instance; prints both
+# messages as ASCII, so that the locale's stdout encoding does not enter.
+LOCALE_SCRIPT = """
+import contextlib, io, sys
+from gubcover import cli, io as gio
+good, bad, sol = sys.argv[1:]
+try:
+    gio.read_instance(bad, "orlib")
+except gio.FormatError as err:
+    print(ascii(str(err)))
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    rc = cli.main(["check", "--format", "orlib", "--instance", good, "--solution", sol])
+print(rc, ascii(err.getvalue()))
+"""
+LOCALES = [{"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+           {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}]
+
+
+def test_non_ascii_bytes_read_alike_in_every_locale(tmp_path):
+    good = _write_bytes(tmp_path / "good.txt", T1_ORLIB.encode())
+    bad = _write_bytes(tmp_path / "bad.txt", T1_ORLIB.replace("4 3 5 1", "\u0667 3 5 1").encode())
+    sol = _write_bytes(tmp_path / "sol.txt", b"2 \xff\n")
+    src = str(Path(gio.__file__).parents[1])
+    xff = "\\xff"  # the text of byte \xff in a message
+    want = (ascii("line 2: expected integer (cost of column 1), got '\u0667'") + "\n1 "
+            + ascii(f"error: token 2: expected column index, got {xff!r}\n") + "\n")
+    for env in LOCALES:
+        proc = subprocess.run(
+            [sys.executable, "-c", LOCALE_SCRIPT, str(good), str(bad), str(sol)],
+            env={**os.environ, **env, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", want), env
+
+
+# -- the byte tokenizer against a plain Python split ------------------------
+
+# digits and signs, the six ASCII whitespace bytes, bytes that str.split() or
+# int() would read apart from the grammar ("_" and "." inside numbers, the
+# \x1c separator, a non-ASCII letter, a no-break space), NUL, \xff, a letter,
+# int64's ends and the first value beyond them
 INT64_MAX, INT64_MIN = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+BYTE_ALPHABET = [bytes([b]) for b in b"0123456789+- \t\n\r\v\f"] + [
+    b"x", b"_", b".", b"\x1c", "\u00e9".encode(), "\u00a0".encode(), b"\0", b"\xff",
+    str(INT64_MAX).encode(), str(INT64_MIN).encode(), str(INT64_MAX + 1).encode()]
 
 
-def _token_file(tmp_path, raw, name="raw.txt"):
-    path = tmp_path / name
-    if name.endswith(".gz"):
-        with gzip.open(path, "wb") as fh:
-            fh.write(raw)
-    else:
-        path.write_bytes(raw)
-    return path
-
-
-def _plain(raw):
-    """Whether every token of raw is [+-]?[0-9]+ strictly inside int64,
-    between the six ASCII whitespace bytes: the files the fast path takes."""
-    if raw.translate(None, b"0123456789+- \t\n\r\v\f"):
-        return False
+def _reference_tokens(raw):
+    """(values, count): the ASCII-whitespace tokens of raw, count of them,
+    and the values of those before the first that is not [+-]?[0-9]+ in int64."""
     words = raw.split()
-    return all(re.fullmatch(rb"[+-]?[0-9]+", w) and INT64_MIN < int(w) < INT64_MAX
-               for w in words)
+    values = []
+    for word in words:
+        if not (re.fullmatch(rb"[+-]?[0-9]+", word) and INT64_MIN <= int(word) <= INT64_MAX):
+            break
+        values.append(int(word))
+    return values, len(words)
+
+
+def _check_tokens(path, raw):
+    tok, count = gio._tokens(path)
+    assert tok.dtype == np.int64 and (tok.tolist(), count) == _reference_tokens(raw)
+    return tok.tolist()
 
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(parts=st.lists(st.sampled_from(BYTE_ALPHABET), max_size=40),
        window=st.sampled_from([1, 2, 3, 1 << 20]))
-def test_fast_tokens_match_line_walk(tmp_path, parts, window):
+def test_tokens_match_reference(tmp_path, parts, window):
     raw = b"".join(parts)
-    path = _token_file(tmp_path, raw)
+    path = _write_bytes(tmp_path / "raw.txt", raw)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gio, "_WINDOW", window)
-        fast = gio._fast_tokens(path)
-    assert (fast is not None) == _plain(raw)
-    if fast is not None:
-        tok, ends = gio._int_tokens(path)
-        assert fast.dtype == tok.dtype and np.array_equal(fast, tok)
-        assert ends[-1] == fast.size
+        _check_tokens(path, raw)
 
 
+# want: the values the tokenizer must read; None leaves a case to the
+# reference alone
 @pytest.mark.parametrize("text,want", [
     ("", []), ("  ", []), ("-", None), ("+", None), ("1-2", None),
     ("+07", [7]), ("-0", [0]), (f"{INT64_MAX}", None), (f"{INT64_MIN}", None),
     (f"{INT64_MAX - 1} {INT64_MIN + 1}", [INT64_MAX - 1, INT64_MIN + 1]),
     ("99999999999999999999", None), ("0000000000000000000000042", [42]),
     ("1\v2\f3\r\n4", [1, 2, 3, 4]), (" 5 -6\n", [5, -6]),
+    (f"{INT64_MAX} {INT64_MIN}\n", [INT64_MAX, INT64_MIN]),
+    (f"3 {INT64_MAX} {INT64_MAX + 1} 4", None), ("1_000 1", None), ("7 \u0663 8", None),
 ])
 @pytest.mark.parametrize("name", ["raw.txt", "raw.txt.gz"])
 def test_fast_tokens_cases(tmp_path, text, want, name):
-    path = _token_file(tmp_path, text.encode(), name)
-    fast = gio._fast_tokens(path)
-    if want is None:
-        assert fast is None
-    else:
-        assert fast.dtype == np.int64 and fast.tolist() == want
-        tok, _ = gio._int_tokens(path)
-        assert np.array_equal(fast, tok)
-
-
-def _scp_text(inst, fmt):
-    """inst's coverage as an orlib (row-major) or rail (column-major) file."""
-    lines = [f"{inst.m} {inst.n}"]
-    if fmt == "orlib":
-        lines.append(" ".join(str(c) for c in inst.cost))
-        lines += [" ".join(str(v) for v in [len(r)] + list(r + 1)) for r in inst.row_cols]
-    else:
-        lines += [" ".join(str(v) for v in [inst.cost[j], len(r)] + list(r + 1))
-                  for j, r in enumerate(inst.col_rows)]
-    return "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize("zipped", [False, True])
-@pytest.mark.parametrize("fmt", gio.FORMATS)
-def test_read_instance_same_with_and_without_fast_path(tmp_path, fmt, zipped):
-    rng = np.random.default_rng(22)
-    for trial in range(5):
-        inst = random_instance(rng)
-        path = tmp_path / f"{trial}{SUFFIX[fmt]}{'.gz' if zipped else ''}"
-        if fmt == "gub":
-            gio.write_gub(inst, path)
-        else:
-            with gio._open_text(path, "wt") as fh:
-                fh.write(_scp_text(inst, fmt))
-        assert gio._fast_tokens(path) is not None
-        fast = gio.read_instance(path, fmt)
-        with pytest.MonkeyPatch.context() as mp:
-            _walk_only(mp)
-            walked = gio.read_instance(path, fmt)
-        assert fast == walked
-        assert (fast.cost_sum, fast.wbar) == (walked.cost_sum, walked.wbar)
-        assert_same_instance(fast, walked)
-        if fmt == "gub":
-            assert fast == inst
+    values = _check_tokens(_write_bytes(tmp_path / name, text.encode()), text.encode())
+    if want is not None:
+        assert values == want
