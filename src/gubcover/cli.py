@@ -257,9 +257,8 @@ def cmd_bench(args) -> int:
             limit = CLASS_TIME_LIMITS.get(_class_of(path), 600)
         for scheme in schemes:
             for seed in range(args.seeds):
-                cfg = SolverConfig(score=scheme, time_limit=float(limit), seed=seed)
                 try:
-                    cfg.check()
+                    cfg = SolverConfig(score=scheme, time_limit=float(limit), seed=seed).check()
                 except ValueError as err:
                     return _fail(str(err))
                 tasks.append((path, args.format, cfg))
@@ -269,6 +268,8 @@ def cmd_bench(args) -> int:
                 rows = list(pool.map(_bench_one, tasks))
         else:
             rows = [_bench_one(t) for t in tasks]
+    except (OSError, ValueError) as err:
+        return _fail(str(err))
     finally:
         _load_once.cache_clear()
     rows.sort(key=lambda r: (r["instance"], r["scheme"], r["seed"]))
@@ -381,10 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except gio.FormatError as err:
-        return _fail(str(err))
+    return args.func(args)
 
 
 if __name__ == "__main__":

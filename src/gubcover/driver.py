@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import subprocess
 import time
 from dataclasses import asdict, dataclass
@@ -42,7 +41,8 @@ class SolverConfig:
     target: float | None = None     # stop early at this objective (optional)
     max_iterations: int | None = None  # outer-loop cap (optional)
 
-    def check(self):
+    def check(self) -> SolverConfig:
+        """A copy with plain Python values; ValueError for a field it would misread."""
         if self.score not in SCORE_SCHEMES:
             raise ValueError(f"unknown score scheme {self.score!r}")
         if self.neighborhood not in ("1flip", "2flip"):
@@ -51,32 +51,22 @@ class SolverConfig:
             raise ValueError(f"unknown greedy mode {self.greedy!r}")
         if not isinstance(self.path_relinking, (bool, np.bool_)):
             raise ValueError("path_relinking must be True or False")
-        if not _is_real(self.time_limit):
+        if not model.is_real(self.time_limit):
             raise ValueError("time_limit must be a number")
         if math.isnan(self.time_limit) or self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
         if math.isinf(self.time_limit) and self.max_iterations is None:
             raise ValueError("an infinite time_limit needs max_iterations")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not model.is_int(self.seed) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.max_iterations is not None and (
-                not _is_int(self.max_iterations) or self.max_iterations < 0):
+                not model.is_int(self.max_iterations) or self.max_iterations < 0):
             raise ValueError("max_iterations must be an integer >= 0")
-        if self.target is not None and not _is_real(self.target):
+        if self.target is not None and not model.is_real(self.target):
             raise ValueError("target must be a number")
         if self.target is not None and math.isnan(self.target):
             raise ValueError("target must not be NaN")
-        return self
-
-
-def _is_int(value) -> bool:
-    """An integer of any kind except bool, which is an int to Python."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A real number of any kind except bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+        return model.plain(self)
 
 
 @dataclass

@@ -20,11 +20,11 @@ import csv
 import gzip
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .model import Instance
+from .model import Instance, is_int, is_real, plain
 
 FORMATS = ("gub", "orlib", "rail")
 
@@ -316,20 +316,15 @@ def read_instance(path, fmt="gub") -> Instance:
 
 
 def write_gub(inst: Instance, path):
+    """Write inst as a native .gub file (see the module docstring)."""
     with _open(path, "wt") as fh:
         fh.write(f"{inst.m} {inst.n} {inst.k}\n")
-        fh.write(" ".join(str(int(c)) for c in inst.cost) + "\n")
-        fh.write(" ".join(str(int(b)) for b in inst.demand) + "\n")
+        fh.write(" ".join(map(str, inst.cost.tolist())) + "\n")
+        fh.write(" ".join(map(str, inst.demand.tolist())) + "\n")
         for cols in inst.row_cols:
-            fh.write(" ".join([str(len(cols))] + [str(int(j) + 1) for j in cols]) + "\n")
-        for h, members in enumerate(inst.block_cols):
-            fh.write(
-                " ".join(
-                    [str(int(inst.cap[h])), str(len(members))]
-                    + [str(int(j) + 1) for j in members]
-                )
-                + "\n"
-            )
+            fh.write(" ".join(map(str, [cols.size, *(cols + 1).tolist()])) + "\n")
+        for cap, members in zip(inst.cap.tolist(), inst.block_cols):
+            fh.write(" ".join(map(str, [cap, members.size, *(members + 1).tolist()])) + "\n")
 
 
 def parse_solution(path) -> np.ndarray:
@@ -362,27 +357,33 @@ class GeneratorParams:
     demand_hi: int = 5
     seed: int = 0
 
-    def check(self):
-        if self.rows < 1 or self.cols < 1:
+    def check(self) -> GeneratorParams:
+        """A copy with plain Python values; ValueError for a field it would misread."""
+        for f in fields(self):
+            kind, ok = ("a number", is_real) if f.name == "density" else ("an integer", is_int)
+            if not ok(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be {kind}")
+        p = plain(self)
+        if p.rows < 1 or p.cols < 1:
             raise ValueError("rows and cols must be positive")
-        if not (0 < self.density < 1):
+        if not (0 < p.density < 1):
             raise ValueError("density must be in (0, 1)")
-        if self.block_size < 1 or self.cols % self.block_size != 0:
+        if p.block_size < 1 or p.cols % p.block_size != 0:
             raise ValueError("block_size must be positive and divide cols")
-        if not (1 <= self.cap <= self.block_size):
+        if not (1 <= p.cap <= p.block_size):
             raise ValueError("cap must be in [1, block_size]")
-        if not (1 <= self.cost_lo <= self.cost_hi):
+        if not (1 <= p.cost_lo <= p.cost_hi):
             raise ValueError("bad cost range")
-        if self.cost_hi * self.cols > np.iinfo(np.int64).max:
+        if p.cost_hi * p.cols > np.iinfo(np.int64).max:
             raise ValueError("cost_hi * cols must fit in int64")
-        if not (0 <= self.demand_lo <= self.demand_hi):
+        if not (0 <= p.demand_lo <= p.demand_hi):
             raise ValueError("bad demand range")
-        if self.cols < max(2, self.demand_hi):
+        if p.cols < max(2, p.demand_hi):
             raise ValueError("cols must be at least max(2, demand_hi): every row "
                              "gets that many distinct covering columns")
-        if self.seed < 0:
+        if p.seed < 0:
             raise ValueError("seed must be non-negative")
-        return self
+        return p
 
 
 def generate(params: GeneratorParams):
@@ -401,53 +402,45 @@ def generate(params: GeneratorParams):
     Deterministic per seed.  Returns (instance, stats).
     """
     p = params.check()
+    m, n = p.rows, p.cols
     rng = np.random.default_rng(p.seed)
-    cost = rng.integers(p.cost_lo, p.cost_hi + 1, size=p.cols)
-    demand = rng.integers(p.demand_lo, p.demand_hi + 1, size=p.rows)
-    col_rows = []
-    chunk = 512
-    for lo in range(0, p.cols, chunk):
-        width = min(chunk, p.cols - lo)
-        hits = rng.random((width, p.rows)) < p.density
-        for c in range(width):
-            col_rows.append(list(np.flatnonzero(hits[c])))
-    empty_fixes = 0
-    for j in range(p.cols):
-        if not col_rows[j]:
-            col_rows[j] = [int(rng.integers(p.rows))]
-            empty_fixes += 1
-    counts = np.zeros(p.rows, dtype=np.int64)
-    covers = [set(r) for r in col_rows]
-    for j in range(p.cols):
-        for i in col_rows[j]:
-            counts[i] += 1
-    row_fixes = 0
-    for i in range(p.rows):
-        need = max(int(demand[i]), 2)
-        while counts[i] < need:
-            j = int(rng.integers(p.cols))
-            if i in covers[j]:
-                continue
-            covers[j].add(i)
-            col_rows[j].append(i)
-            counts[i] += 1
-            row_fixes += 1
+    cost = rng.integers(p.cost_lo, p.cost_hi + 1, size=n)
+    demand = rng.integers(p.demand_lo, p.demand_hi + 1, size=m)
+    # Cover entries are keys column * m + row, drawn in a fixed order: a
+    # (columns, rows) matrix per 512 columns, one row per empty column, then
+    # for each short row columns until it has max(demand, 2) distinct ones.
+    keys = np.concatenate([
+        np.flatnonzero(rng.random((min(512, n - lo), m)) < p.density) + lo * m
+        for lo in range(0, n, 512)])
+    empty = np.flatnonzero(np.diff(np.searchsorted(keys, np.arange(n + 1) * m)) == 0)
+    fill = empty * m + np.array([rng.integers(m) for _ in empty], dtype=np.int64)
+    keys = np.concatenate((keys, fill))
+    need = np.maximum(demand, 2)
+    counts = np.bincount(keys % m, minlength=m)
+    short = np.flatnonzero(counts < need)
+    at = np.flatnonzero((counts < need)[keys % m])  # the short rows' entries, by row
+    at = at[np.argsort(keys[at] % m)]
+    added = []
+    for i, have in zip(short.tolist(), np.split(keys[at] // m, np.cumsum(counts[short])[:-1])):
+        have = set(have.tolist())
+        while len(have) < need[i]:
+            j = int(rng.integers(n))
+            if j not in have:
+                have.add(j)
+                added.append(j * m + i)
+    keys = np.concatenate((keys, np.array(added, dtype=np.int64)))
+    # columns in ascending cost order, blocks over contiguous ranges of them
     order = np.argsort(cost, kind="stable")
-    cost = cost[order]
-    col_rows = [col_rows[j] for j in order]
-    k = p.cols // p.block_size
-    blocks = [
-        (p.cap, list(range(h * p.block_size, (h + 1) * p.block_size)))
-        for h in range(k)
-    ]
-    inst = Instance.from_columns(cost, col_rows, demand, blocks)
+    inst = Instance(cost[order], demand, keys % m, np.argsort(order)[keys // m],
+                    np.full(n // p.block_size, p.cap),
+                    np.arange(n) // p.block_size, np.arange(n))
     achieved = inst.density()
     stats = {
         "target_density": p.density,
         "achieved_density": achieved,
         "density_within_10pct": abs(achieved - p.density) <= 0.1 * p.density,
-        "empty_column_repairs": empty_fixes,
-        "row_coverage_repairs": row_fixes,
+        "empty_column_repairs": empty.size,
+        "row_coverage_repairs": len(added),
     }
     return inst, stats
 
@@ -464,9 +457,10 @@ def write_result_json(result, path, instance_name=None):
     payload = asdict(result)
     if instance_name is not None:
         payload["instance_name"] = str(instance_name)
+    # serialized before the file opens, so a failure leaves no partial file
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def result_csv_row(result, instance_name="") -> dict:

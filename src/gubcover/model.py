@@ -10,8 +10,9 @@ pair.
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -237,6 +238,22 @@ class Instance:
 
     def __repr__(self):
         return f"Instance(m={self.m}, n={self.n}, k={self.k}, nnz={self.nnz})"
+
+
+def is_int(value) -> bool:
+    """An integer of any kind except bool, which is an int to Python."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number of any kind except bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def plain(params):
+    """The dataclass params with each numpy scalar field as its Python value."""
+    return replace(params, **{f.name: v.item() for f in fields(params)
+                              if isinstance(v := getattr(params, f.name), np.generic)})
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ printed output are checked without spawning an interpreter.
 
 import csv
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -244,6 +245,10 @@ def test_generate_class_family(tmp_path, capsys):
     assert (inst.m, inst.n, inst.k) == (1000, 10000, 1000)
     assert np.all(inst.cap == 1)
     assert np.all(np.diff(inst.cost) >= 0)
+    # the file's bytes are a benchmark input (G1, index 1, seed 0): a change
+    # to the generator's draws or to the writer must not go unnoticed
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "f8d12f6e01d13097b3012db7300c02ab52bea972a1daa8c3d7d6fbeab16ddaee"
 
 
 def test_generate_manual_params(tmp_path, capsys):
@@ -440,6 +445,18 @@ def test_bench_rejects_unknown_scheme(t1_file, tmp_path, capsys):
                    "--time-limit", "0.3", "--out", str(out)])
     assert rc == 1
     assert "error: unknown score scheme 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_bench_reports_unreadable_instance(t1_file, tmp_path, capsys, workers):
+    (tmp_path / "dir.gub").mkdir()
+    out = tmp_path / "bench.csv"
+    rc = cli.main(["bench", "--instances", str(tmp_path), "--time-limit", "0.3",
+                   "--workers", workers, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
     assert not out.exists()
 
 

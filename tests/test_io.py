@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import json
 import os
@@ -17,6 +18,7 @@ from gubcover.driver import SolverConfig, solve
 from gubcover.io import FormatError, GeneratorParams
 from gubcover.model import Instance
 
+import generator_reference
 import reader_reference
 from conftest import build_t1, random_instance
 
@@ -224,6 +226,67 @@ def test_generator_rejects_rows_it_cannot_cover():
                     demand_lo=5, demand_hi=5).check()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cap", 1.5), ("cost_hi", 50.7), ("demand_hi", 2.9), ("rows", 10.0),
+    ("seed", np.float64(1)), ("block_size", True), ("cols", "100"),
+    ("density", "0.1"), ("density", True), ("density", None),
+])
+def test_generator_rejects_values_it_would_misread(field, value):
+    # check() used to pass most of these: cap 1.5 read as 1, cost_hi 50.7
+    # drew costs up to 50 and demand_hi 2.9 demands up to 2
+    params = dict(rows=10, cols=100, density=0.1, block_size=10, cap=1)
+    params[field] = value
+    with pytest.raises(ValueError, match=field):
+        GeneratorParams(**params).check()
+    with pytest.raises(ValueError, match=field):
+        gio.generate(GeneratorParams(**params))
+
+
+def test_generator_takes_numpy_scalars_as_plain_values():
+    p = GeneratorParams(rows=np.int64(10), cols=np.int32(100), density=np.float32(0.125),
+                        block_size=np.uint8(10), cap=np.int16(2), seed=np.int64(4)).check()
+    assert all(type(getattr(p, f)) is int for f in ("rows", "cols", "block_size", "cap", "seed"))
+    assert type(p.density) is float
+    plain = GeneratorParams(rows=10, cols=100, density=0.125, block_size=10, cap=2, seed=4)
+    assert gio.generate(p) == gio.generate(plain)
+    # numpy products wrap: the int64 bound must be checked on Python ints
+    with pytest.raises(ValueError, match="must fit in int64"):
+        GeneratorParams(rows=10, cols=np.int64(100), density=0.1, block_size=10,
+                        cap=1, cost_hi=np.int64(2**62)).check()
+
+
+def _reference_draws(count):
+    """count seeded GeneratorParams over sparse, dense, demand-0, singleton-block
+    and uncapped-block draws."""
+    rng = np.random.default_rng(20240)
+    for seed in range(count):
+        block_size = int(rng.choice([1, 2, 3, 5, 10]))
+        cols = block_size * int(rng.integers(max(1, 6 // block_size), 80 // block_size + 1))
+        demand_hi = int(rng.integers(0, min(cols, 6) + 1))
+        yield GeneratorParams(
+            rows=int(rng.integers(1, 60)), cols=cols,
+            density=float(rng.choice([0.0005, 0.001, 0.01, 0.05, 0.2, 0.5, 0.8])),
+            block_size=block_size, cap=int(rng.integers(1, block_size + 1)),
+            cost_lo=int(rng.integers(1, 5)), cost_hi=int(rng.integers(5, 60)),
+            demand_lo=int(rng.integers(0, demand_hi + 1)), demand_hi=demand_hi, seed=seed)
+
+
+def test_generator_matches_list_reference():
+    draws = list(_reference_draws(240))
+    assert any(p.density <= 0.001 for p in draws) and any(p.density >= 0.5 for p in draws)
+    assert any(p.demand_lo == 0 for p in draws) and any(p.block_size == 1 for p in draws)
+    assert any(p.cap == p.block_size > 1 for p in draws)
+    repairs = np.zeros(2, dtype=np.int64)
+    for p in draws:
+        inst, stats = gio.generate(p)
+        ref, ref_stats = generator_reference.generate_by_lists(p)
+        assert inst == ref, p
+        assert stats == ref_stats, p
+        repairs += [stats["empty_column_repairs"], stats["row_coverage_repairs"]]
+    # both repairs draw from the stream, so both must be exercised
+    assert np.all(repairs > 0), repairs
+
+
 def test_result_serialization(tmp_path):
     result = solve(build_t1(), SolverConfig(max_iterations=1, time_limit=1e6))
     out = tmp_path / "run.json"
@@ -232,6 +295,26 @@ def test_result_serialization(tmp_path):
     assert payload["objective"] == 8 and payload["feasible"] is True
     assert payload["selected"] == [1, 2]
     assert payload["instance_name"] == "t1.gub"
+
+
+def test_result_json_takes_numpy_config_values(tmp_path):
+    cfg = SolverConfig(seed=np.int64(3), max_iterations=np.int32(1),
+                       path_relinking=np.bool_(True), time_limit=np.float32(1e6))
+    result = solve(build_t1(), cfg)
+    out = tmp_path / "run.json"
+    gio.write_result_json(result, out)
+    payload = json.loads(out.read_text())
+    assert payload["seed"] == 3
+    assert payload["config"]["max_iterations"] == 1
+    assert payload["config"]["path_relinking"] is True
+
+
+def test_result_json_leaves_no_partial_file(tmp_path):
+    result = solve(build_t1(), SolverConfig(max_iterations=0, time_limit=1e6))
+    out = tmp_path / "run.json"
+    with pytest.raises(TypeError):
+        gio.write_result_json(dataclasses.replace(result, lower_bound=object()), out)
+    assert not out.exists()
 
 
 # -- array readers: equality with from_columns, and malformed input ----------
