@@ -57,6 +57,13 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _check_out(path):
+    """FileNotFoundError unless --out's directory exists; checked before any run."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(f"--out directory {folder!r} does not exist")
+
+
 def _load(path, fmt):
     inst = gio.read_instance(path, fmt)
     problems = model.validate(inst)
@@ -91,6 +98,8 @@ def _solve_config(args, seed=None) -> SolverConfig:
 def cmd_solve(args) -> int:
     try:
         cfg = _solve_config(args).check()
+        if args.out:
+            _check_out(args.out)
         inst = _load(args.instance, args.format)
     except (OSError, ValueError) as err:
         return _fail(str(err))
@@ -101,10 +110,11 @@ def cmd_solve(args) -> int:
     print(f"feasible: {'yes' if result.feasible else 'no'}")
     print(f"iterations: {result.iterations}  elapsed: {result.elapsed:.2f}s  build: {result.build}")
     if args.out:
-        if args.emit == "json":
-            gio.write_result_json(result, args.out, instance_name=args.instance)
-        else:
-            gio.append_result_csv(result, args.out, instance_name=args.instance)
+        write = gio.write_result_json if args.emit == "json" else gio.append_result_csv
+        try:
+            write(result, args.out, instance_name=args.instance)
+        except OSError as err:
+            return _fail(str(err))
         print(f"wrote {args.out}")
     if result.infeasibility_signal:
         print("no feasible solution found (penalized value above total cost)")
@@ -139,10 +149,11 @@ def cmd_generate(args) -> int:
             seed=args.seed,
         )
     try:
+        _check_out(args.out)
         inst, stats = gio.generate(params)
-    except ValueError as err:
+        gio.write_gub(inst, args.out)
+    except (OSError, ValueError) as err:
         return _fail(str(err))
-    gio.write_gub(inst, args.out)
     print(f"wrote {args.out} (m={inst.m}, n={inst.n}, k={inst.k})")
     print(
         "density: {achieved_density:.4f} (target {target_density}, "
@@ -244,6 +255,7 @@ def cmd_bench(args) -> int:
     if args.workers < 1:
         return _fail("--workers must be at least 1")
     try:
+        _check_out(args.out)
         best_known = _read_best_known(args.best_known) if args.best_known else {}
     except (OSError, ValueError) as err:
         return _fail(str(err))
@@ -305,12 +317,15 @@ def cmd_bench(args) -> int:
         avg["gap_pct"] = f"{np.mean(gaps):.3f}" if gaps else ""
         summary.append(avg)
 
-    with open(args.out, "w", newline="") as fh:
-        fh.write(f"# gubcover-bench-v1 build={build_id()}\n")
-        writer = csv.DictWriter(fh, fieldnames=BENCH_FIELDS)
-        writer.writeheader()
-        for row in rows + summary:
-            writer.writerow(row)
+    try:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(f"# gubcover-bench-v1 build={build_id()}\n")
+            writer = csv.DictWriter(fh, fieldnames=BENCH_FIELDS)
+            writer.writeheader()
+            for row in rows + summary:
+                writer.writerow(row)
+    except OSError as err:
+        return _fail(str(err))
     print(f"wrote {args.out} ({len(rows)} runs, {len(summary)} averages)")
     return 0
 

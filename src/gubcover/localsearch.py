@@ -15,10 +15,13 @@ The cached quantities, for the current solution x:
   dp_up[j]    sum of w[i] over covered rows with s[i] <  demand[i]
   dp_down[j]  sum of w[i] over covered rows with s[i] <= demand[i]
 
-so flipping j up changes the penalized value by cost[j] - dp_up[j] and
-flipping it down by -cost[j] + dp_down[j].  A flip of j shifts s on its
-rows by one; only rows crossing the demand threshold require touching the
-dp entries of their adjacent columns.
+so adding j changes the penalized value by its add gain cost[j] - dp_up[j]
+and dropping it by its drop gain -cost[j] + dp_down[j]; add_gains() and
+drop_gains() give them for every column, inf where the flip is not
+allowed.  A flip of j by step (+1 adds, -1 drops) moves s by step on j's
+rows, and a row crosses a threshold on the lower t of its old and new
+counts: at t == demand - 1 the dp_up of its columns moves by -step * w[i],
+at t == demand their dp_down does.  No other entry changes.
 
 Pair moves are priced from the same tables without flipping anything:
 dropping j1 and adding j2 gains the two single-flip gains less the weight
@@ -109,91 +112,88 @@ class SearchState:
         """Penalized value under the initial uniform weights."""
         return self.cost + self.wbar * self.viol
 
-    def delta_up(self, j) -> float:
+    def delta_up(self, j):
+        """Add gain of j, an index or an index array, caps aside."""
         return self.costf[j] - self.dp_up[j]
 
-    def delta_down(self, j) -> float:
+    def delta_down(self, j):
+        """Drop gain of j, an index or an index array."""
         return -self.costf[j] + self.dp_down[j]
+
+    def addable(self, cols=slice(None)):
+        """For each of cols: unselected, with room left in its block."""
+        return ~self.x[cols] & (self.blk < self.d)[self.inst.block_of[cols]]
+
+    def add_gains(self) -> np.ndarray:
+        """Every column's add gain, inf where it is not addable."""
+        return np.where(self.addable(), self.delta_up(slice(None)), np.inf)
+
+    def drop_gains(self) -> np.ndarray:
+        """Every column's drop gain, inf where it is not selected."""
+        return np.where(self.x, self.delta_down(slice(None)), np.inf)
+
+    def opened(self, j) -> np.ndarray:
+        """The rows of j at s == b, which a drop of j would leave short."""
+        rows = self.inst.col_rows[j]
+        return rows[self.s[rows] == self.b[rows]]
 
     def two_flip_delta(self, j1, j2) -> float:
         """Gain of dropping selected j1 and adding unselected j2.
 
-        The single-flip gains double-count rows both columns cover that sit
-        exactly at their demand, hence the correction term.
+        The single-flip gains double-count the rows j1 opens that j2 also
+        covers, hence the correction term.
         """
-        inst = self.inst
-        common = np.intersect1d(inst.col_rows[j1], inst.col_rows[j2], assume_unique=True)
-        corr = 0.0
-        if common.size:
-            at = common[self.s[common] == self.b[common]]
-            corr = float(self.w[at].sum())
-        return self.delta_down(j1) + self.delta_up(j2) - corr
+        common = np.intersect1d(self.opened(j1), self.inst.col_rows[j2], assume_unique=True)
+        return self.delta_down(j1) + self.delta_up(j2) - float(self.w[common].sum())
 
     # -- mutation ---------------------------------------------------------
 
     def flip(self, j):
-        if self.x[j]:
-            self._flip_down(j)
-        else:
-            self._flip_up(j)
+        """Add j if it is unselected, else drop it."""
+        self._flip(j, -1 if self.x[j] else 1)
 
-    def _flip_up(self, j):
+    def _flip(self, j, step):
+        """Flip j by step, +1 to add it and -1 to drop it (module notes)."""
         inst = self.inst
         h = inst.block_of[j]
-        assert not self.x[j] and self.blk[h] < self.d[h]
-        self.zhat += self.costf[j] - self.dp_up[j]
-        self.x[j] = True
-        self.cost += int(inst.cost[j])
-        self.blk[h] += 1
+        assert self.x[j] == (step < 0) and (step < 0 or self.blk[h] < self.d[h])
+        self.zhat += self.delta_up(j) if step > 0 else self.delta_down(j)
+        self.x[j] = step > 0
+        self.cost += step * int(inst.cost[j])
+        self.blk[h] += step
         w, b, s = self.w, self.b, self.s
+        # t is the lower of the row's old and new counts, as a Python int:
+        # item() and int arithmetic cost less than numpy scalars
+        low, rise = (0, 1) if step > 0 else (-1, 0)
         # a crossing row's columns scatter through an intp copy of their
         # index: numpy's fancy update is about twice as fast with intp
         ptr, ind = inst.row_cols.ptr, inst.row_cols.ind
         for i in inst.col_rows[j].tolist():
-            si = s[i] + 1
-            s[i] = si
-            if si <= b[i]:
-                self.viol -= 1
-            if si == b[i]:
-                self.dp_up[ind[ptr[i]:ptr[i + 1]].astype(np.intp)] -= w[i]
-            elif si == b[i] + 1:
-                self.dp_down[ind[ptr[i]:ptr[i + 1]].astype(np.intp)] -= w[i]
-
-    def _flip_down(self, j):
-        inst = self.inst
-        assert self.x[j]
-        self.zhat += -self.costf[j] + self.dp_down[j]
-        self.x[j] = False
-        self.cost -= int(inst.cost[j])
-        self.blk[inst.block_of[j]] -= 1
-        w, b, s = self.w, self.b, self.s
-        ptr, ind = inst.row_cols.ptr, inst.row_cols.ind
-        for i in inst.col_rows[j].tolist():
-            si = s[i] - 1
-            s[i] = si
-            if si < b[i]:
-                self.viol += 1
-            if si == b[i] - 1:
-                self.dp_up[ind[ptr[i]:ptr[i + 1]].astype(np.intp)] += w[i]
-            elif si == b[i]:
-                self.dp_down[ind[ptr[i]:ptr[i + 1]].astype(np.intp)] += w[i]
+            t = s.item(i) + low
+            s[i] = t + rise
+            gap = b.item(i) - t
+            if gap > 0:
+                self.viol -= step
+                if gap == 1:
+                    self.dp_up[ind[ptr[i]:ptr[i + 1]].astype(np.intp)] -= step * w[i]
+            elif gap == 0:
+                self.dp_down[ind[ptr[i]:ptr[i + 1]].astype(np.intp)] -= step * w[i]
 
     def trial_flip_down(self, j):
         """Flip selected j down, remembering enough to undo it exactly.
 
-        Returns (opened_rows, undo).  opened_rows are the covered rows that
-        drop to demand-1, whose adjacent columns get more attractive to add.
-        undo holds copies of the dp tables and of j's coverage counts, so
-        undo_trial is bit-exact even with real-valued weights.  The swap
-        scan applies its accepted swaps through this method, and perfbench's
-        traced run counts them as its calls less those of undo_trial.
+        Returns (opened(j), undo).  undo holds copies of the dp tables and
+        of j's coverage counts, so undo_trial is bit-exact even with
+        real-valued weights.  The swap scan applies its accepted swaps
+        through this method, and perfbench's traced run counts them as its
+        calls less those of undo_trial.
         """
         rows = self.inst.col_rows[j]
         undo = {"j": j, "cost": self.cost, "viol": self.viol, "zhat": self.zhat,
                 "s": self.s[rows].copy(),
                 "dp_up": self.dp_up.copy(), "dp_down": self.dp_down.copy()}
-        opened = rows[self.s[rows] == self.b[rows]]
-        self._flip_down(j)
+        opened = self.opened(j)
+        self._flip(j, -1)
         return opened, undo
 
     def undo_trial(self, undo):
@@ -206,9 +206,6 @@ class SearchState:
         self.cost = undo["cost"]
         self.viol = undo["viol"]
         self.zhat = undo["zhat"]
-
-    def copy_solution(self) -> np.ndarray:
-        return self.x.copy()
 
 
 class BestTracker:
@@ -230,11 +227,6 @@ def _observe(tracker, state):
         tracker.observe(state)
 
 
-def _add_candidates(state: SearchState):
-    open_blocks = state.blk < state.d
-    return ~state.x & open_blocks[state.inst.block_of]
-
-
 def gain_tol(state, zhat=None) -> float:
     """Minimum gain a move must clear to count as improving.
 
@@ -248,30 +240,21 @@ def gain_tol(state, zhat=None) -> float:
     return 1e-6 * max(1.0, abs(state.zhat if zhat is None else zhat))
 
 
-def _step_add(state, tracker, budget):
-    """Flip the best improving unselected column until none improves."""
+def _descend(state, tracker, budget, gains):
+    """Make the best single flip by gains() until none beats the gain floor.
+
+    gains is state.add_gains or state.drop_gains; ties go to the lowest
+    column.  An instance with no column moves nothing.
+    """
     moved = False
     while budget[0] > 0:
-        deltas = np.where(_add_candidates(state), state.costf - state.dp_up, np.inf)
-        j = int(np.argmin(deltas))
-        if not deltas[j] < -gain_tol(state):
+        g = gains()
+        if g.size == 0:
             break
-        state._flip_up(j)
-        _observe(tracker, state)
-        budget[0] -= 1
-        moved = True
-    return moved
-
-
-def _step_drop(state, tracker, budget):
-    """Flip the best improving selected column until none improves."""
-    moved = False
-    while budget[0] > 0:
-        deltas = np.where(state.x, -state.costf + state.dp_down, np.inf)
-        j = int(np.argmin(deltas))
-        if not deltas[j] < -gain_tol(state):
+        j = int(np.argmin(g))
+        if not g[j] < -gain_tol(state):
             break
-        state._flip_down(j)
+        state.flip(j)
         _observe(tracker, state)
         budget[0] -= 1
         moved = True
@@ -308,8 +291,8 @@ def _saturated_screen(state, blocks):
     grouped = inst.block_cols.gather(blocks)
     members, starts = grouped.ind, grouped.ptr[:-1]
     picked = state.x[members]
-    down = np.where(picked, -state.costf[members] + state.dp_down[members], np.inf)
-    up = np.where(picked, np.inf, state.costf[members] - state.dp_up[members])
+    down = np.where(picked, state.delta_down(members), np.inf)
+    up = np.where(picked, np.inf, state.delta_up(members))
     a1 = _first_argmin(down, starts)
     a2 = _first_argmin(up, starts)
     # the rows of j1 at s == b that j2 covers too, matched on sorted
@@ -366,8 +349,8 @@ def _step_swap_saturated(state, tracker, budget):
         drop, add = int(j1[p]), int(j2[p])
         p += 1
         if state.two_flip_delta(drop, add) < -gain_tol(state):
-            state._flip_down(drop)
-            state._flip_up(add)
+            state.flip(drop)
+            state.flip(add)
             _observe(tracker, state)
             budget[0] -= 1
             moved = swapped = True
@@ -387,8 +370,7 @@ def _best_partner(state, j1, d1):
     Returns None when no column qualifies.
     """
     inst = state.inst
-    rows = inst.col_rows[j1]
-    opened = rows[state.s[rows] == state.b[rows]]
+    opened = state.opened(j1)
     if opened.size == 0:
         return None
     grouped = inst.row_cols.gather(opened)
@@ -412,7 +394,7 @@ def _best_partner(state, j1, d1):
 def _scan_candidates(state):
     """The selected columns in scan order: by drop gain, ties to the lowest index."""
     sel = np.flatnonzero(state.x)
-    return sel[np.argsort(-state.costf[sel] + state.dp_down[sel], kind="stable")]
+    return sel[np.argsort(state.delta_down(sel), kind="stable")]
 
 
 def _scan_screen(state, cand):
@@ -442,12 +424,11 @@ def _scan_screen(state, cand):
     lost = sp.csr_matrix((w, rows, ptr), shape=(cand.size, inst.m)) @ inst.matrix()
     # every term moves down by 1e-9 of its magnitude: per candidate, per
     # column and per entry of L
-    d1 = -state.costf[cand] + state.dp_down[cand]
-    add = state.costf - state.dp_up - 1e-9 * (state.costf + np.abs(state.dp_up))
-    open_cols = ~state.x & (state.blk < state.d)[inst.block_of]
+    d1 = state.delta_down(cand)
+    add = state.delta_up(slice(None)) - 1e-9 * (state.costf + np.abs(state.dp_up))
     owner = np.repeat(np.arange(cand.size), np.diff(lost.indptr))
     j2 = lost.indices
-    part = np.where(open_cols, add, np.inf)[j2]
+    part = np.where(state.addable(), add, np.inf)[j2]
     # in j1's own block, which the drop reopens, every unselected member
     # and j1 itself qualify
     own = np.flatnonzero(inst.block_of[j2] == inst.block_of[cand][owner])
@@ -470,7 +451,7 @@ def _step_swap_scan(state, tracker, budget):
 
     Visits the candidate columns by ascending drop gain (order frozen at
     entry) and applies the first one's best partner that beats the gain
-    floor of the state after the drop, as trial_flip_down then _flip_up.
+    floor of the state after the drop, as trial_flip_down then flip.
     The caller then restarts from the single-flip phases, so at most one
     swap lands here.
 
@@ -488,7 +469,7 @@ def _step_swap_scan(state, tracker, budget):
         best = _best_partner(state, j1, d1)
         if best is not None and best[0] < -gain_tol(state, state.zhat + d1):
             state.trial_flip_down(j1)
-            state._flip_up(best[1])
+            state.flip(best[1])
             _observe(tracker, state)
             budget[0] -= 1
             return True
@@ -519,8 +500,8 @@ def two_fnls(state: SearchState, one_flip_only=False, tracker=None, move_cap=Non
         # alternate the single-flip phases until quiet: under small weights
         # an accepted drop can uncover rows and re-enable adds
         while budget[0] > 0:
-            _step_add(state, tracker, budget)
-            if not _step_drop(state, tracker, budget):
+            _descend(state, tracker, budget, state.add_gains)
+            if not _descend(state, tracker, budget, state.drop_gains):
                 break
         if one_flip_only or budget[0] <= 0:
             break
@@ -563,7 +544,7 @@ def _shortlist(state, size):
     smallest, so that all columns tied at the cut are in.  When no such
     gain exists, tau is 0 and cols holds every negative candidate.
     """
-    gains = np.where(_add_candidates(state), state.costf - state.dp_up, np.inf)
+    gains = state.add_gains()
     cols = np.flatnonzero(gains < 0)
     tau = 0.0
     if cols.size > size:
@@ -583,7 +564,7 @@ def greedy_construct(inst, weights, rng, width=5, uniform=False):
     selected column has a negative drop gain.  Returns the SearchState.
 
     The adds do not rescan all columns.  During the build the weights are
-    fixed and nonnegative and columns are only added, so _flip_up only
+    fixed and nonnegative and columns are only added, so a flip only
     lowers dp_up: every add gain can only rise and the candidate set only
     shrinks.  A column left out of the shortlist (see _shortlist) was at
     or above tau and stays there, so each add re-scores just the list and
@@ -602,9 +583,8 @@ def greedy_construct(inst, weights, rng, width=5, uniform=False):
     size = inst.n if uniform else max(SHORTLIST, width + 1)
     cols, tau = _shortlist(state, size)
     while True:
-        gains = state.costf[cols] - state.dp_up[cols]
-        h = inst.block_of[cols]
-        live = (gains < tau) & ~state.x[cols] & (state.blk[h] < state.d[h])
+        gains = state.delta_up(cols)
+        live = (gains < tau) & state.addable(cols)
         cols, gains = cols[live], gains[live]
         if tau < 0 and cols.size <= width:
             cols, tau = _shortlist(state, size)
@@ -612,6 +592,6 @@ def greedy_construct(inst, weights, rng, width=5, uniform=False):
         if cols.size == 0:
             break
         pool = cols if uniform else cols[lowest_k(gains, width)]
-        state._flip_up(int(pool[rng.integers(pool.size)]))
-    _step_drop(state, None, [1 << 60])
+        state.flip(int(pool[rng.integers(pool.size)]))
+    _descend(state, None, [1 << 60], state.drop_gains)
     return state

@@ -120,8 +120,10 @@ class Instance:
     transpose and the block lookup are derived, so no instance holds
     unsorted, repeated, out-of-range or mutually inconsistent lists.  A
     column listed in several blocks gets the last of them as block_of,
-    which validate() then reports.  Raises ValueError for coordinate lists
-    of different lengths, an index out of range or a column in no block.
+    which validate() then reports.  Raises ValueError for a coordinate list
+    that is neither empty nor of an integer dtype (bool and float lists
+    included), lists of different lengths, an index out of range or a
+    column in no block.
 
     The adjacency lives in three frozen Csr buffers: col_rows (rows of each
     column), row_cols (columns of each row) and block_cols (members of each
@@ -158,9 +160,10 @@ class Instance:
         blocks, members = np.asarray(blocks), np.asarray(members)
         if rows.shape != cols.shape or blocks.shape != members.shape:
             raise ValueError("coordinate lists of different lengths")
-        for idx, size, what in ((rows, m, "row"), (cols, n, "column"),
-                                (blocks, k, "block"), (members, n, "column")):
-            _check_range(idx, size, what)
+        rows = _indices(rows, m, "rows", "row")
+        cols = _indices(cols, n, "cols", "column")
+        blocks = _indices(blocks, k, "blocks", "block")
+        members = _indices(members, n, "members", "column")
         self.col_rows = Csr.group(cols, rows, n, m)
         self.row_cols = Csr.group(rows, cols, m, n)
         self.block_cols = Csr.group(blocks, members, k, n)
@@ -273,10 +276,17 @@ def _exact_sum(a: np.ndarray) -> int:
     return int(a.sum())
 
 
-def _check_range(idx: np.ndarray, size: int, what: str):
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
+def _indices(idx: np.ndarray, size: int, name: str, what: str) -> np.ndarray:
+    """The coordinate list name as indices in [0, size), ValueError otherwise;
+    Csr.group widens signed ones, unsigned and empty ones become int64."""
+    if idx.size == 0:
+        return idx.astype(np.int64)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer indices, not {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= size:
         bad = idx[(idx < 0) | (idx >= size)][0]
         raise ValueError(f"{what} index {bad} out of range for {size} {what}s")
+    return idx if idx.dtype.kind == "i" else idx.astype(np.int64)
 
 
 def as_bool(n: int, selected) -> np.ndarray:

@@ -92,19 +92,9 @@ def walk(inst, w, init, guide) -> np.ndarray:
     while True:
         diff = np.flatnonzero(state.x != guide)
         if diff.size == 0:
-            return state.copy_solution()
-        drops = diff[state.x[diff]]
-        adds = diff[~state.x[diff]]
-        hb = inst.block_of[adds]
-        adds = adds[state.blk[hb] < state.d[hb]]
-        if drops.size == 0 and adds.size == 0:
-            return state.copy_solution()
-        cand = np.concatenate([drops, adds])
-        deltas = np.concatenate([
-            -state.costf[drops] + state.dp_down[drops],
-            state.costf[adds] - state.dp_up[adds],
-        ])
-        pos = np.lexsort((cand, deltas))[0]
-        if not deltas[pos] < 0:
-            return state.copy_solution()
-        state.flip(int(cand[pos]))
+            return state.x.copy()
+        gains = np.where(state.x, state.drop_gains(), state.add_gains())[diff]
+        pos = int(np.argmin(gains))
+        if not gains[pos] < 0:
+            return state.x.copy()
+        state.flip(int(diff[pos]))

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from gubcover import driver, localsearch, model
+from gubcover.reduction import apply_fixing
 from gubcover.model import Instance
 
 import oracle
@@ -107,6 +108,35 @@ def random_weights(rng, inst, integer=True):
     if integer:
         return rng.integers(1, wbar + 1, size=inst.m).astype(float)
     return rng.uniform(0.5, wbar, size=inst.m)
+
+
+def random_state(rng, inst=None, integer=False):
+    """A state at a random cap-feasible point, its weights rescaled half the time."""
+    inst = random_instance(rng) if inst is None else inst
+    state = localsearch.SearchState(inst, random_weights(rng, inst, integer=integer),
+                                    x0=random_gub_feasible(rng, inst))
+    if rng.integers(2):
+        state.scale_weights(float(rng.uniform(0.3, 0.99)))
+    return state
+
+
+def restricted_state(rng, integer=False, cost_hi=20):
+    """A state on a restrict() sub-instance that has empty blocks."""
+    inst = random_instance(rng, n=int(rng.choice([12, 24, 36])), cost_hi=cost_hi)
+    fixed = np.flatnonzero(random_gub_feasible(rng, inst) & (rng.random(inst.n) < 0.5))
+    reduced = apply_fixing(inst, fixed)
+    core = reduced.free & (rng.random(inst.n) < 0.7)
+    core[inst.block_cols[int(rng.integers(inst.k))]] = False
+    sub, _ = reduced.restrict(core)
+    assert any(len(m) == 0 for m in sub.block_cols)
+    return random_state(rng, sub, integer)
+
+
+def state_key(state):
+    """Everything a flip changes, as bytes, for bit-exact comparisons."""
+    return (state.x.tobytes(), state.s.tobytes(), state.dp_up.tobytes(),
+            state.dp_down.tobytes(), state.blk.tobytes(), state.cost,
+            state.viol, state.zhat)
 
 
 def nb1_state(rng, inst, w=None):

@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -472,3 +473,42 @@ def test_bench_validates_instances(tmp_path, capsys):
                    "--out", str(tmp_path / "bench.csv")])
     assert rc == 1
     assert "block 0 has cap 0" in capsys.readouterr().err
+
+
+# -- --out ---------------------------------------------------------------
+
+OUT_COMMANDS = {
+    "generate": ["generate", "--rows", "5", "--cols", "10", "--density", "0.3",
+                 "--block-size", "2", "--cap", "1"],
+    "solve-json": ["solve", "--instance", "{t1}", "--max-iterations", "0"],
+    "solve-csv": ["solve", "--instance", "{t1}", "--max-iterations", "0", "--emit", "csv"],
+    "bench": ["bench", "--instances", "{dir}", "--time-limit", "0.3"],
+}
+
+
+def out_argv(command, t1_file, out):
+    dirname = str(Path(t1_file).parent)
+    args = [a.format(t1=t1_file, dir=dirname) for a in OUT_COMMANDS[command]]
+    return [*args, "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_in_missing_directory_fails_before_any_run(t1_file, tmp_path, capsys,
+                                                       no_solve, command):
+    out = tmp_path / "missing" / "out.txt"
+    rc = cli.main(out_argv(command, t1_file, out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --out directory {str(out.parent)!r} does not exist\n"
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_unwritable_out_is_an_error(t1_file, tmp_path, capsys, command):
+    # --out names a directory: the check passes, the write fails
+    out = tmp_path / "taken"
+    out.mkdir()
+    rc = cli.main(out_argv(command, t1_file, out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err

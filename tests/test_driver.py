@@ -47,6 +47,19 @@ def test_solve_rejects_invalid_instance(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("options", [{}, {"neighborhood": "1flip"}, {"score": "none"},
+                                     {"path_relinking": False}])
+def test_solve_when_fixing_leaves_an_empty_core(options):
+    # fixing takes every column, so the search runs on a sub-instance
+    # with no column at all
+    single = Instance.from_columns([3], [[0]], [1], [(1, [0])])
+    zero_demand, _ = gio.generate(gio.GeneratorParams(
+        rows=30, cols=60, density=0.1, block_size=6, cap=1, demand_lo=0, demand_hi=0))
+    for inst, selected in ((single, [0]), (zero_demand, [])):
+        res = solve_checked(inst, quick(max_iterations=2, **options))
+        assert res.selected == selected and res.feasible and res.iterations == 2
+
+
 def test_infeasible_demand_sets_signal():
     inst = Instance.from_columns([4, 3, 5, 1], [[0, 1], [1, 2], [0, 2], [2]],
                                  [1, 1, 4], [(1, [0, 1]), (2, [2, 3])])
@@ -266,7 +279,46 @@ def test_pinned_runs(score, seed, monkeypatch):
                                                block_size=10, cap=3, seed=5))
     res = solve_checked(inst, SolverConfig(score=score, seed=seed, max_iterations=4,
                                            time_limit=1e6))
-    want = PINNED[(score, seed)]
+    assert_pinned(res, PINNED[(score, seed)])
+
+
+# the search options at their non-default values, pseudo scores, seed 0
+PINNED_OPTIONS = {
+    "neighborhood": ("1flip", dict(
+        objective=723, lower_bound=631.7308621162692, penalized=723.0,
+        timeline=[(0, 1214.0), (1, 973.0), (2, 744.0), (4, 723.0)],
+        core_fractions=[0.6066666666666667, 0.4866666666666667, 0.8, 0.6666666666666666],
+        selected=[0, 3, 9, 10, 14, 18, 20, 24, 25, 32, 38, 39, 51, 53, 57, 62, 64, 70,
+                  76, 78, 80, 88, 95, 99, 103, 105, 107, 115, 123, 140, 154, 205])),
+    "greedy": ("uniform", dict(
+        objective=722, lower_bound=631.568383239349, penalized=722.0,
+        timeline=[(0, 1623.0), (1, 954.0), (2, 722.0)],
+        core_fractions=[0.7766666666666666, 0.5733333333333334, 0.7, 0.8],
+        selected=[3, 6, 9, 10, 12, 19, 20, 23, 24, 31, 34, 39, 41, 44, 46, 53, 57, 59,
+                  61, 62, 66, 70, 76, 80, 88, 95, 98, 99, 105, 107, 114, 117, 123, 135,
+                  140])),
+    "path_relinking": (False, dict(
+        objective=682, lower_bound=631.7308621162692, penalized=682.0,
+        timeline=[(0, 1214.0), (1, 957.0), (2, 688.0), (3, 682.0)],
+        core_fractions=[0.6066666666666667, 0.6066666666666667, 0.7333333333333333,
+                        0.8333333333333334],
+        selected=[0, 3, 6, 10, 12, 19, 24, 25, 31, 35, 38, 46, 53, 59, 61, 62, 64, 70,
+                  76, 78, 80, 84, 88, 98, 99, 105, 117, 120, 123, 140, 205])),
+}
+
+
+@pytest.mark.parametrize("option", sorted(PINNED_OPTIONS))
+def test_pinned_option_runs(option, monkeypatch):
+    monkeypatch.setattr(driver, "wls", functools.partial(weighting.wls, window=10))
+    inst, _ = gio.generate(gio.GeneratorParams(rows=60, cols=300, density=0.1,
+                                               block_size=10, cap=3, seed=5))
+    value, want = PINNED_OPTIONS[option]
+    res = solve_checked(inst, SolverConfig(seed=0, max_iterations=4, time_limit=1e6,
+                                           **{option: value}))
+    assert_pinned(res, want)
+
+
+def assert_pinned(res, want):
     assert res.objective == want["objective"]
     assert res.lower_bound == want["lower_bound"]
     assert res.penalized == want["penalized"]
@@ -299,10 +351,4 @@ def test_pinned_cap50_run(score):
                                                block_size=100, cap=50, seed=0))
     res = solve_checked(inst, SolverConfig(score=score, seed=0, max_iterations=2,
                                            time_limit=1e6))
-    want = PINNED_CAP50[score]
-    assert res.objective == want["objective"]
-    assert res.lower_bound == want["lower_bound"]
-    assert res.penalized == want["penalized"]
-    assert res.selected == want["selected"]
-    assert [(it, val) for it, val, _ in res.timeline] == want["timeline"]
-    assert res.core_fractions == want["core_fractions"]
+    assert_pinned(res, PINNED_CAP50[score])

@@ -226,9 +226,7 @@ def test_deadline_stops_between_phases():
     ls.two_fnls(state, deadline=time.monotonic() - 1.0)
     assert time.monotonic() - t0 < 1.0
     # single-flip phases still ran to completion
-    up_deltas = state.costf - state.dp_up
-    cand = ls._add_candidates(state)
-    assert not np.any(up_deltas[cand] < -ls.gain_tol(state))
+    assert not np.any(state.add_gains() < -ls.gain_tol(state))
 
 
 def test_move_cap_bounds_accepted_moves(t1):
@@ -291,13 +289,14 @@ def full_scan_greedy(inst, w, rng, width, uniform):
     """Reference greedy: rescans every column on every add."""
     state = ls.SearchState(inst, w)
     while True:
-        deltas = np.where(ls._add_candidates(state), state.costf - state.dp_up, np.inf)
+        addable = ~state.x & (state.blk < state.d)[inst.block_of]
+        deltas = np.where(addable, state.costf - state.dp_up, np.inf)
         cand = np.flatnonzero(deltas < 0)
         if cand.size == 0:
             break
         pool = cand if uniform else cand[ls.lowest_k(deltas[cand], width)]
-        state._flip_up(int(pool[rng.integers(pool.size)]))
-    ls._step_drop(state, None, [1 << 60])
+        state.flip(int(pool[rng.integers(pool.size)]))
+    ls._descend(state, None, [1 << 60], state.drop_gains)
     return state
 
 

@@ -22,6 +22,37 @@ def test_from_columns_rejects_column_outside_every_block():
                               demand=[1, 1], blocks=[(1, [0]), (1, [1])])
 
 
+COORDS = dict(rows=[0, 1, 1], cols=[0, 0, 1], blocks=[0, 0], members=[0, 1])
+
+
+def coord_instance(**coords):
+    c = {**COORDS, **coords}
+    return Instance([3, 4], [1, 2], c["rows"], c["cols"], [2], c["blocks"], c["members"])
+
+
+def test_constructor_takes_empty_and_any_integer_coordinate_lists():
+    # no cover entries: an instance, whose empty column validate reports
+    inst = Instance([3], [1], [], [], [1], [0], [0])
+    assert inst.nnz == 0
+    assert [v.code for v in model.validate(inst)] == ["empty_column"]
+    with pytest.raises(ValueError, match="column 0 belongs to no block"):
+        Instance([3], [1], [0], [0], [1], [], [])
+    want = coord_instance()
+    for dtype in (np.int8, np.int32, np.uint8, np.uint64):
+        assert coord_instance(**{k: np.array(v, dtype=dtype) for k, v in COORDS.items()}) == want
+    with pytest.raises(ValueError, match="row index 9223372036854775808 out of range"):
+        coord_instance(rows=np.array([0, 1, 2**63], dtype=np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(COORDS))
+@pytest.mark.parametrize("dtype", [float, bool])
+def test_constructor_rejects_non_integer_coordinate_lists(name, dtype):
+    # bools in range would read as 0/1, floats would fail inside numpy
+    values = np.array(COORDS[name]).astype(dtype).tolist()
+    with pytest.raises(ValueError, match=f"^{name} must hold integer indices"):
+        coord_instance(**{name: values})
+
+
 def test_instance_arrays_are_frozen(t1):
     with pytest.raises(ValueError):
         t1.cost[0] = 99

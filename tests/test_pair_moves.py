@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from gubcover import localsearch as ls
-from gubcover.reduction import apply_fixing
 
-from conftest import nb1_state, random_gub_feasible, random_instance, random_weights
+from conftest import (nb1_state, random_gub_feasible, random_instance, random_state,
+                      random_weights, restricted_state, state_key)
 
 
 def trial_best_swap_for(state, j1, d1, opened):
@@ -52,7 +52,7 @@ def trial_swap_scan(state, budget):
         opened, undo = state.trial_flip_down(j1)
         best = trial_best_swap_for(state, j1, d1, opened)
         if best is not None and best[0] < -ls.gain_tol(state):
-            state._flip_up(best[1])
+            state.flip(best[1])
             budget[0] -= 1
             return True
         state.undo_trial(undo)
@@ -82,40 +82,13 @@ def unbounded_swap_saturated(state, budget):
                 continue
             j1, j2 = block_argmin_pair(state, h)
             if state.two_flip_delta(j1, j2) < -ls.gain_tol(state):
-                state._flip_down(j1)
-                state._flip_up(j2)
+                state.flip(j1)
+                state.flip(j2)
                 budget[0] -= 1
                 updated = moved = True
         if not updated:
             break
     return moved
-
-
-def random_state(rng, inst=None, integer=False):
-    inst = random_instance(rng) if inst is None else inst
-    state = ls.SearchState(inst, random_weights(rng, inst, integer=integer),
-                           x0=random_gub_feasible(rng, inst))
-    if rng.integers(2):
-        state.scale_weights(float(rng.uniform(0.3, 0.99)))
-    return state
-
-
-def restricted_state(rng, integer=False, cost_hi=20):
-    """A state on a restrict() sub-instance that has empty blocks."""
-    inst = random_instance(rng, n=int(rng.choice([12, 24, 36])), cost_hi=cost_hi)
-    fixed = np.flatnonzero(random_gub_feasible(rng, inst) & (rng.random(inst.n) < 0.5))
-    reduced = apply_fixing(inst, fixed)
-    core = reduced.free & (rng.random(inst.n) < 0.7)
-    core[inst.block_cols[int(rng.integers(inst.k))]] = False
-    sub, _ = reduced.restrict(core)
-    assert any(len(m) == 0 for m in sub.block_cols)
-    return random_state(rng, sub, integer)
-
-
-def state_key(state):
-    return (state.x.tobytes(), state.s.tobytes(), state.dp_up.tobytes(),
-            state.dp_down.tobytes(), state.blk.tobytes(), state.cost,
-            state.viol, state.zhat)
 
 
 def test_closed_form_partner_equals_trial():

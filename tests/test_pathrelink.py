@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from gubcover import model, pathrelink
+from gubcover.localsearch import SearchState
 from gubcover.model import as_bool
 from gubcover.pathrelink import ReferenceSet
 
 from conftest import random_gub_feasible, random_instance
+from search_reference import walk_reference
 
 
 def keyed(*selected_lists, n=4):
@@ -134,3 +136,42 @@ def test_walk_respects_caps_strictly():
         out = pathrelink.walk(inst, w, init, guide)
         counts = np.bincount(inst.block_of[out], minlength=inst.k)
         assert np.all(counts <= inst.cap)
+
+
+def with_caps(inst, cap):
+    """inst with every block's cap set to min(cap, block size)."""
+    rows, blocks = inst.row_cols, inst.block_cols
+    caps = np.minimum(cap, np.diff(blocks.ptr))
+    return model.Instance(inst.cost, inst.demand, rows.owners(), rows.ind, caps,
+                          blocks.owners(), blocks.ind)
+
+
+@pytest.mark.parametrize("case", ["integer", "cap1", "same"])
+def test_walk_matches_reference(case):
+    """Equal to the walk that lists and lexsorts its candidates: with few
+    distinct integer costs and weights, so that gains tie, with cap-1
+    blocks, and from init == guide."""
+    rng = np.random.default_rng(["integer", "cap1", "same"].index(case) + 63)
+    moved = tied = 0
+    for _ in range(150):
+        inst = random_instance(rng, cost_hi=2 if case == "integer" else 20)
+        if case == "cap1":
+            inst = with_caps(inst, 1)
+        if case == "integer":
+            w = rng.integers(1, 3, size=inst.m).astype(float)
+        else:
+            w = rng.uniform(1, 50, size=inst.m)
+        init = random_gub_feasible(rng, inst)
+        guide = init.copy() if case == "same" else random_gub_feasible(rng, inst)
+        out = pathrelink.walk(inst, w, init, guide)
+        assert np.array_equal(out, walk_reference(inst, w, init, guide))
+        moved += np.any(out != init)
+        state = SearchState(inst, w, x0=init)
+        gains = np.where(init, state.drop_gains(), state.add_gains())[init != guide]
+        tied += gains.size > 1 and gains.min() < 0 and np.count_nonzero(gains == gains.min()) > 1
+    if case == "same":
+        assert moved == 0
+    else:
+        assert moved > 50
+    if case == "integer":
+        assert tied > 20

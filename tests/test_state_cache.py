@@ -1,6 +1,7 @@
-"""SearchState's incremental caches against a fresh rebuild, under random
-sequences of flips, in-place trial drops with and without undo, uniform
-weight rescaling and new weight vectors."""
+"""SearchState's incremental caches against a fresh rebuild and against the
+mirrored reference kernels, under random sequences of flips, in-place
+trial drops with and without undo, uniform weight rescaling and new weight
+vectors."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from gubcover import localsearch as ls
 
-from conftest import random_gub_feasible, random_instance, random_weights
+from conftest import (random_gub_feasible, random_instance, random_state, random_weights,
+                      restricted_state, state_key)
+from search_reference import ReferenceState
 
 OPS = ("flip", "trial", "trial_undo", "scale", "set")
 
@@ -56,3 +59,45 @@ def test_caches_match_rebuild(seed, integer, ops):
         elif op == "set":
             state.set_weights(random_weights(rng, inst, integer=integer))
         assert_matches_rebuild(state, exact=integer)
+
+
+def test_flip_kernel_matches_mirrored_kernels():
+    """Bit-equal to the one-kernel-per-direction reference under random
+    flips, trial drops with and without undo, rescaled and new weights,
+    with real-valued weights and on sub-instances with empty blocks."""
+    rng = np.random.default_rng(140)
+    flips = 0
+    for case in range(300):
+        integer = case % 3 == 0
+        state = (restricted_state(rng, integer) if case % 2
+                 else random_state(rng, integer=integer))
+        ref = ReferenceState(state.inst, state.w, x0=state.x)
+        ref.dp_up, ref.dp_down, ref.zhat = (state.dp_up.copy(), state.dp_down.copy(),
+                                            state.zhat)
+        inst = state.inst
+        for op in rng.choice(OPS, size=40, p=[0.6, 0.15, 0.15, 0.05, 0.05]):
+            sel = np.flatnonzero(state.x)
+            if op == "flip" and inst.n:
+                j = int(rng.integers(inst.n))
+                if state.x[j] or state.addable(j):
+                    state.flip(j)
+                    ref.flip(j)
+                    flips += 1
+            elif op.startswith("trial") and sel.size:
+                j = int(sel[rng.integers(sel.size)])
+                opened, undo = state.trial_flip_down(j)
+                ref_opened, ref_undo = ref.trial_flip_down(j)
+                assert np.array_equal(opened, ref_opened)
+                if op == "trial_undo":
+                    state.undo_trial(undo)
+                    ref.undo_trial(ref_undo)
+            elif op == "scale":
+                factor = float(rng.uniform(0.3, 1.5))
+                state.scale_weights(factor)
+                ref.scale_weights(factor)
+            elif op == "set":
+                w = random_weights(rng, inst, integer=integer)
+                state.set_weights(w)
+                ref.set_weights(w)
+            assert state_key(state) == state_key(ref)
+    assert flips > 3000
