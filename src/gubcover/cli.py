@@ -290,7 +290,7 @@ def cmd_bench(args) -> int:
         ref = best_known.get(row["instance"]) or best_known.get(
             os.path.splitext(row["instance"])[0]
         )
-        if ref and row["objective"]:
+        if ref and row["objective"] and row["feasible"]:
             row["gap_pct"] = f"{(row['objective'] - ref) / row['objective'] * 100:.3f}"
         else:
             row["gap_pct"] = ""

@@ -128,9 +128,11 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
     uniform = cfg.greedy == "uniform"
 
     r1, r2 = ReferenceSet(), ReferenceSet()
+    empty = SearchState(inst, wbar_vec)
     for pool in (r1, r2):
         for _ in range(pool.capacity):
-            pool.add_initial(greedy_construct(inst, wbar_vec, rng, uniform=uniform).x)
+            pool.add_initial(greedy_construct(empty, rng, uniform=uniform).x)
+    del empty  # not held through the subgradient's peak memory
 
     x_hat = None
     star_val = np.inf

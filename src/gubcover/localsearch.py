@@ -23,6 +23,12 @@ rows, and a row crosses a threshold on the lower t of its old and new
 counts: at t == demand - 1 the dp_up of its columns moves by -step * w[i],
 at t == demand their dp_down does.  No other entry changes.
 
+That scatter runs in scipy's compiled csc_matvec, a one-column product
+over row i's slice of row_cols and the matrices' read-only ones.  It adds
+1.0 * (-step * w[i]), the same float as subtracting step * w[i], once per
+column, rows in ascending order, so the tables match an element-wise
+update bit for bit.
+
 Pair moves are priced from the same tables without flipping anything:
 dropping j1 and adding j2 gains the two single-flip gains less the weight
 of the rows both cover at s == demand.  Each pair phase first screens all
@@ -43,6 +49,7 @@ import time
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csc_matvec
 
 from .model import coverage_counts
 
@@ -64,6 +71,7 @@ class SearchState:
         self.w = np.array(weights, dtype=float)
         self.wbar = inst.wbar
         self.costf = inst.cost.astype(float)
+        self._scatter = (inst.row_cols.ptr, inst.row_cols.ind, inst.col_matrix().data)
         self.x = np.zeros(inst.n, dtype=bool)
         if x0 is not None:
             self.x |= np.asarray(x0, dtype=bool)
@@ -105,6 +113,14 @@ class SearchState:
         self.dp_up *= factor
         self.dp_down *= factor
         self.resync_zhat()
+
+    def copy(self) -> SearchState:
+        """An independent state: copies what flips and weights write, no rebuild."""
+        new = object.__new__(SearchState)
+        new.__dict__.update(self.__dict__)
+        for name in ("w", "x", "s", "blk", "dp_up", "dp_down"):
+            setattr(new, name, getattr(self, name).copy())
+        return new
 
     # -- evaluation -------------------------------------------------------
 
@@ -165,19 +181,18 @@ class SearchState:
         # t is the lower of the row's old and new counts, as a Python int:
         # item() and int arithmetic cost less than numpy scalars
         low, rise = (0, 1) if step > 0 else (-1, 0)
-        # a crossing row's columns scatter through an intp copy of their
-        # index: numpy's fancy update is about twice as fast with intp
-        ptr, ind = inst.row_cols.ptr, inst.row_cols.ind
+        ptr, ind, ones = self._scatter
+        v = np.empty(1)
         for i in inst.col_rows[j].tolist():
             t = s.item(i) + low
             s[i] = t + rise
             gap = b.item(i) - t
             if gap > 0:
                 self.viol -= step
-                if gap == 1:
-                    self.dp_up[ind[ptr[i]:ptr[i + 1]].astype(np.intp)] -= step * w[i]
-            elif gap == 0:
-                self.dp_down[ind[ptr[i]:ptr[i + 1]].astype(np.intp)] -= step * w[i]
+            if gap == 1 or gap == 0:
+                v[0] = -step * w.item(i)
+                csc_matvec(inst.n, 1, ptr[i:i + 2], ind, ones, v,
+                           self.dp_up if gap else self.dp_down)
 
     def trial_flip_down(self, j):
         """Flip selected j down, remembering enough to undo it exactly.
@@ -555,13 +570,15 @@ def _shortlist(state, size):
     return cols, tau
 
 
-def greedy_construct(inst, weights, rng, width=5, uniform=False):
+def greedy_construct(empty, rng, width=5, uniform=False):
     """Randomized greedy start: noisy add phase, then a clean drop phase.
 
-    Adds improving (negative-gain) columns one at a time, picking uniformly
-    among the `width` best candidates (or among all of them when
-    uniform=True), then removes redundant columns the usual way so no
-    selected column has a negative drop gain.  Returns the SearchState.
+    Builds on a copy of empty, a SearchState at x = 0, which stays as it
+    was for the next build.  Adds improving (negative-gain) columns one at
+    a time, picking uniformly among the `width` best candidates (or among
+    all of them when uniform=True), then removes redundant columns the
+    usual way so no selected column has a negative drop gain.  Returns the
+    new SearchState.
 
     The adds do not rescan all columns.  During the build the weights are
     fixed and nonnegative and columns are only added, so a flip only
@@ -577,10 +594,10 @@ def greedy_construct(inst, weights, rng, width=5, uniform=False):
     every negative candidate and needs no rebuild; uniform=True always
     builds it that way.
     """
-    state = SearchState(inst, weights)
+    state = empty.copy()
     # a fresh list with tau < 0 has at least `size` > `width` members, so a
     # rebuild is never followed by another before the next add
-    size = inst.n if uniform else max(SHORTLIST, width + 1)
+    size = state.inst.n if uniform else max(SHORTLIST, width + 1)
     cols, tau = _shortlist(state, size)
     while True:
         gains = state.delta_up(cols)

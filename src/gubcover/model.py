@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -37,13 +38,21 @@ class Csr:
     List p is ind[ptr[p]:ptr[p + 1]]; ptr starts at 0 and never decreases.
     csr[p], len(csr) and iteration serve the lists as views into ind, made
     on demand, so a Csr holds no per-list objects.
+
+    ptr and ind share one index dtype, int32 while the entry count fits and
+    int64 beyond (or dtype), so scipy's compiled sparse loops take them as
+    they are: they would convert a mismatched pair on every call.  Those
+    loops check no bounds, so gather() checks its owners first.
     """
 
     __slots__ = ("ptr", "ind")
 
-    def __init__(self, ptr, ind):
-        self.ptr = _frozen(np.asarray(ptr, dtype=np.int64))
-        self.ind = _frozen(np.asarray(ind, dtype=np.int32))
+    def __init__(self, ptr, ind, dtype=None):
+        ind = np.asarray(ind)
+        if dtype is None:
+            dtype = np.int32 if ind.size < 2**31 else np.int64
+        self.ptr = _frozen(np.asarray(ptr, dtype=dtype))
+        self.ind = _frozen(ind.astype(dtype, copy=False))
 
     @classmethod
     def group(cls, owner, member, count, size) -> Csr:
@@ -67,22 +76,26 @@ class Csr:
         ptr = np.searchsorted(key, np.arange(count + 1, dtype=np.int64) * size)
         if size:
             np.remainder(key, size, out=key)
-        return cls(ptr, key.astype(np.int32))
+        return cls(ptr, key)
 
     def gather(self, owners) -> Csr:
         """The lists named by owners, back to back, as a Csr of owners.size lists.
 
-        One gather out of ind, with no per-list views.  Its positions into
-        ind are int32 when ind is short enough for them, half the memory of
-        int64 ones.
+        One compiled row copy in this Csr's dtype, with no per-list views
+        and no position arrays.  IndexError for an owner outside [0, len).
         """
+        owners = np.asarray(owners)
+        if owners.size and (owners.dtype.kind not in "iu" or owners.min() < 0
+                            or owners.max() >= len(self)):
+            raise IndexError(f"owners must be integers in [0, {len(self)})")
+        owners = owners.astype(self.ptr.dtype, copy=False)
         lo = self.ptr[owners]
         ptr = np.zeros(lo.size + 1, dtype=np.int64)
         np.cumsum(self.ptr[owners + 1] - lo, out=ptr[1:])
-        position = np.int32 if self.ind.size < 2**31 else np.int64
-        at = np.repeat((lo - ptr[:-1]).astype(position), np.diff(ptr))
-        at += np.arange(at.size, dtype=position)
-        return Csr(ptr, self.ind[at])
+        ind = np.empty(ptr[-1], dtype=self.ind.dtype)
+        # ind also stands in for the data the kernel copies alongside
+        _sparsetools.csr_row_index(owners.size, owners, self.ptr, self.ind, self.ind, ind, ind)
+        return Csr(ptr, ind, self.ind.dtype if ptr[-1] < 2**31 else None)
 
     def __len__(self) -> int:
         return len(self.ptr) - 1
@@ -129,7 +142,7 @@ class Instance:
     column), row_cols (columns of each row) and block_cols (members of each
     block).  col_rows[j] is a read-only int32 view of column j's rows, made
     on demand.  matrix() and col_matrix() wrap row_cols and col_rows as
-    scipy matrices over the same index buffers.
+    scipy matrices over the same ptr and ind buffers.
 
     Attributes
     ----------
@@ -204,8 +217,8 @@ class Instance:
     def col_matrix(self) -> sp.csr_matrix:
         """The transpose of matrix() (n x m), float64 CSR over col_rows.
 
-        It shares matrix()'s read-only data buffer and col_rows' indices,
-        so it adds only its own n + 1 row pointers.  col_matrix() @ u sums
+        It shares matrix()'s read-only data buffer and col_rows' ptr and
+        ind, so it holds no arrays of its own.  col_matrix() @ u sums
         each column's u[i] from 0 in ascending row order, as u @ matrix()
         does, so the two give the same floats; the row-major product is
         the faster one, and a row slice of it prices a subset of columns.

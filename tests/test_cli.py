@@ -389,6 +389,28 @@ def test_bench_gap_against_best_known(t1_file, tmp_path, capsys):
     assert runs[0]["gap_pct"] == "-25.000"
 
 
+def test_bench_gives_no_gap_to_an_infeasible_run(t1_file, tmp_path, capsys):
+    # demand 3 on row 0, which only two columns cover; the name puts it in
+    # class t1 beside the feasible t1.gub
+    inst = model.Instance.from_columns([3, 4], [[0], [0]], [3], [(2, [0, 1])])
+    gio.write_gub(inst, tmp_path / "t1_u.gub")
+    best = tmp_path / "best.csv"
+    best.write_text("t1_u.gub,10\nt1.gub,10\n")
+    out = tmp_path / "bench.csv"
+    rc = cli.main(["bench", "--instances", str(tmp_path), "--seeds", "2",
+                   "--time-limit", "0.3", "--best-known", str(best),
+                   "--out", str(out)])
+    assert rc == 0
+    _, rows = _rows_without_elapsed(out)
+    runs = {(row["instance"], row["seed"]): row for row in rows if row["kind"] == "run"}
+    for seed in ("0", "1"):
+        assert runs["t1_u.gub", seed]["feasible"] == "0"
+        assert runs["t1_u.gub", seed]["gap_pct"] == ""
+        assert runs["t1.gub", seed]["gap_pct"] == "-25.000"
+    (avg,) = [row for row in rows if row["kind"] == "avg"]
+    assert avg["feasible"] == "0.50" and avg["gap_pct"] == "-25.000"
+
+
 @pytest.fixture()
 def no_solve(monkeypatch):
     """Fail the test on any solve: bad bench input must stop before the runs."""

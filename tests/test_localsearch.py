@@ -263,7 +263,7 @@ def test_greedy_construct_properties():
     for _ in range(30):
         inst = random_instance(rng)
         w = model.initial_weights(inst)
-        state = ls.greedy_construct(inst, w, rng,
+        state = ls.greedy_construct(ls.SearchState(inst, w), rng,
                                     uniform=bool(rng.integers(2)))
         assert np.all(state.blk <= state.d)
         sel = np.flatnonzero(state.x)
@@ -273,16 +273,32 @@ def test_greedy_construct_properties():
 
 def test_greedy_construct_deterministic_per_seed(t1):
     w = model.initial_weights(t1)
-    a = ls.greedy_construct(t1, w, np.random.default_rng(7))
-    b = ls.greedy_construct(t1, w, np.random.default_rng(7))
+    a = ls.greedy_construct(ls.SearchState(t1, w), np.random.default_rng(7))
+    b = ls.greedy_construct(ls.SearchState(t1, w), np.random.default_rng(7))
     assert np.array_equal(a.x, b.x)
 
 
 def test_greedy_single_column_instance():
     inst = model.Instance.from_columns([7], [[0, 1, 2]], [1, 1, 1], [(1, [0])])
-    state = ls.greedy_construct(inst, model.initial_weights(inst),
+    state = ls.greedy_construct(ls.SearchState(inst, model.initial_weights(inst)),
                                 np.random.default_rng(0))
     assert state.x[0]
+
+
+def test_greedy_builds_leave_the_empty_state_untouched():
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        inst = random_instance(rng)
+        w = model.initial_weights(inst)
+        empty = ls.SearchState(inst, w)
+        built = [ls.greedy_construct(empty, rng, uniform=bool(rng.integers(2)))
+                 for _ in range(20)]
+        assert any(state.x.any() for state in built)
+        assert not empty.x.any()
+        fresh = ls.SearchState(inst, w)
+        for name in ("w", "s", "blk", "dp_up", "dp_down"):
+            assert np.array_equal(getattr(empty, name), getattr(fresh, name))
+        assert (empty.cost, empty.viol, empty.zhat) == (fresh.cost, fresh.viol, fresh.zhat)
 
 
 def full_scan_greedy(inst, w, rng, width, uniform):
@@ -316,7 +332,8 @@ def test_greedy_shortlist_matches_full_scan(monkeypatch, shortlist):
         uniform = rng.random() < 0.2
         seed = int(rng.integers(1 << 31))
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = ls.greedy_construct(inst, w, got_rng, width=width, uniform=uniform)
+        got = ls.greedy_construct(ls.SearchState(inst, w), got_rng, width=width,
+                                  uniform=uniform)
         ref = full_scan_greedy(inst, w, ref_rng, width, uniform)
         assert np.array_equal(got.x, ref.x)
         assert got_rng.integers(1 << 62) == ref_rng.integers(1 << 62)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gubcover import model
 from gubcover.model import Instance
@@ -139,6 +141,79 @@ def test_csr_gather():
     assert got.ind.dtype == np.int32
     empty = csr.gather(np.zeros(0, dtype=np.int64))
     assert empty.ptr.tolist() == [0] and empty.ind.size == 0
+
+
+def gather_reference(csr, owners):
+    """The repeat/arange position gather that the compiled row copy replaced."""
+    owners = np.asarray(owners, dtype=np.int64)
+    lo = csr.ptr[owners].astype(np.int64)
+    ptr = np.zeros(lo.size + 1, dtype=np.int64)
+    np.cumsum(csr.ptr[owners + 1] - lo, out=ptr[1:])
+    at = np.repeat(lo - ptr[:-1], np.diff(ptr))
+    at += np.arange(at.size)
+    return ptr, csr.ind[at]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(0, 6), max_size=12),
+       picks=st.lists(st.integers(0, 1 << 20), max_size=25),
+       wide=st.booleans(), seed=st.integers(0, 1 << 30))
+def test_csr_gather_matches_reference(sizes, picks, wide, seed):
+    rng = np.random.default_rng(seed)
+    ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    ind = rng.integers(0, 50, int(ptr[-1]))
+    dtype = np.int64 if wide else np.int32
+    csr = model.Csr(ptr, ind, dtype)
+    # repeated owners come from the draws; empty lists from zero sizes
+    owners = np.array([p % len(sizes) for p in picks] if sizes else [], dtype=np.int64)
+    got = csr.gather(owners)
+    want_ptr, want_ind = gather_reference(csr, owners)
+    assert got.ptr.dtype == got.ind.dtype == dtype
+    assert np.array_equal(got.ptr, want_ptr) and np.array_equal(got.ind, want_ind)
+
+
+def test_csr_gather_checks_owners_first():
+    csr = model.Csr.group([0, 1, 1, 2], [3, 0, 2, 1], 3, 4)
+    for owners in ([-1], [-2], [0, -3], [3], [1, 7], [-4]):
+        with pytest.raises(IndexError, match=r"owners must be integers in \[0, 3\)"):
+            csr.gather(np.array(owners))
+    with pytest.raises(IndexError, match=r"owners must be integers in \[0, 3\)"):
+        csr.gather(np.array([1.0]))
+    for owners in ([], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32)):
+        empty = csr.gather(owners)
+        assert empty.ptr.tolist() == [0] and empty.ind.size == 0
+
+
+def test_csr_keeps_one_index_dtype():
+    csr = model.Csr.group([0, 1, 1], [2, 0, 1], 2, 3)
+    assert csr.ptr.dtype == csr.ind.dtype == np.int32
+    wide = model.Csr(csr.ptr, csr.ind, np.int64)
+    assert wide.ptr.dtype == wide.ind.dtype == np.int64
+    assert wide == csr
+
+
+def test_matrices_share_the_csr_buffers(t1):
+    for csr in (t1.row_cols, t1.col_rows, t1.block_cols):
+        assert csr.ptr.dtype == csr.ind.dtype
+    for a, csr in ((t1.matrix(), t1.row_cols), (t1.col_matrix(), t1.col_rows)):
+        assert np.shares_memory(a.indptr, csr.ptr)
+        assert np.shares_memory(a.indices, csr.ind)
+    assert np.shares_memory(t1.matrix().data, t1.col_matrix().data)
+
+
+def test_sparsetools_kernels_in_place():
+    """The private scipy kernels the flip and the gather call, on 3 entries,
+    so a scipy release that moves or changes them fails here."""
+    from scipy.sparse import _sparsetools
+
+    ptr = np.array([0, 1, 3], dtype=np.int32)
+    ind = np.array([2, 0, 1], dtype=np.int32)
+    y = np.array([1.0, 2.0, 3.0])
+    _sparsetools.csc_matvec(3, 1, ptr[1:3], ind, np.ones(3), np.array([-0.5]), y)
+    assert y.tolist() == [0.5, 1.5, 3.0]
+    out = np.empty(3, dtype=np.int32)
+    _sparsetools.csr_row_index(2, np.array([1, 0], dtype=np.int32), ptr, ind, ind, out, out)
+    assert out.tolist() == [0, 1, 2]
 
 
 def csr_views(csr):
