@@ -1,18 +1,29 @@
 """Top-level solve loop.
 
 Order of operations: randomized greedy runs fill the two reference pools,
-one subgradient run prices the columns, then until the deadline: fix
-agreed columns, carve out a scored core, run the weighted local search on
-the core compacted into a sub-instance (residual demands and caps, the
-core columns only), map its solutions back to full width with the fixed
-columns added, refresh the pools and relink a new starting point.  The
-incumbent is always re-evaluated on the original instance.
+one subgradient run gives the lower bound and the multipliers, then until
+the deadline: fix agreed columns, carve out a scored core, run the
+weighted local search on the core compacted into a sub-instance (residual
+demands and caps, the core columns only), map its solutions back to full
+width with the fixed columns added, refresh the pools and relink a new
+starting point.  The incumbent is always re-evaluated on the original
+instance.
+
+Only the lagrangian and normalized scores read the multipliers.  Under
+pseudo and none, when the loop will run at least once, the subgradient
+runs in a forked child while the parent searches, and its result is
+collected before the RunResult is built.  Otherwise it runs inline before
+the loop.  Both give the same result: the child runs the same code on the
+same inputs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
+import signal
 import subprocess
 import time
 from dataclasses import asdict, dataclass
@@ -88,6 +99,7 @@ class RunResult:
     config: dict
     instance: dict
     build: str
+    stats: dict           # "subgradient": iterations, evaluations, step_final
 
 
 @functools.cache
@@ -113,6 +125,74 @@ def build_id() -> str:
     return tag
 
 
+def _call(fn, *args, fork):
+    """Run fn(*args), in a forked child when fork is true; return wait().
+
+    wait() returns the result.  For a child, the first call reads the
+    child's pickled reply from a pipe to EOF, then reaps it; an exception
+    raised in the child is raised here, and a child that exits without a
+    reply raises RuntimeError with its wait status.  wait(kill=True) kills
+    and reaps a child that has not been waited for; the caller makes that
+    call in a finally, so no exit path leaves the child running.  fn runs
+    here and now when fork is false, os.fork is missing or it raises
+    OSError.
+    """
+    pid = None
+    if fork and hasattr(os, "fork"):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+    if pid is None:
+        done = fn(*args)
+        return lambda kill=False: done
+    if pid == 0:  # the child never returns into the caller's code
+        status = 1
+        try:
+            os.close(r)
+            try:
+                reply = pickle.dumps((True, fn(*args)))
+            except BaseException as exc:
+                reply = pickle.dumps((False, exc))
+            with open(w, "wb") as out:
+                out.write(reply)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    reader = open(r, "rb")
+    result = None
+
+    def wait(kill=False):
+        nonlocal pid, result
+        if pid is None:
+            return result
+        reply = None
+        try:
+            if not kill:
+                reply = reader.read()
+        finally:
+            reader.close()
+            if reply is None:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+            pid = None
+        if reply is None:
+            return None
+        if not reply:
+            raise RuntimeError(f"{fn.__name__} child exited without a result "
+                               f"(wait status {status})")
+        ok, value = pickle.loads(reply)
+        if not ok:
+            raise value
+        result = value
+        return result
+
+    return wait
+
+
 def solve(inst, config: SolverConfig | None = None) -> RunResult:
     """Run the solver on inst; ValueError for a bad config or for the
     violations model.validate reports on inst."""
@@ -132,7 +212,7 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
     for pool in (r1, r2):
         for _ in range(pool.capacity):
             pool.add_initial(greedy_construct(empty, rng, uniform=uniform).x)
-    del empty  # not held through the subgradient's peak memory
+    del empty  # held neither through the subgradient's peak memory nor by its child
 
     x_hat = None
     star_val = np.inf
@@ -144,8 +224,6 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
     x_hat = x_hat.copy()
     x_star = x_hat.copy()
     timeline = [(0, star_val, time.monotonic() - t0)]
-
-    sres = subgradient_method(inst, star_val)
 
     w_cur = wbar_vec.copy()
     core_fractions: list[float] = []
@@ -162,50 +240,59 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
             return True
         return False
 
-    while not finished():
-        outer += 1
-        if cfg.score != "none":
-            base = w_cur if cfg.score == "pseudo" else sres.u
-            red, exhausted = reduction.fix_columns(inst, x_star, x_hat, base, rng)
-            fix_exhaustions += exhausted
-            if cfg.score == "normalized":
-                scores = reduction.normalized_scores(red, base)
+    # the search reads the multipliers only under the lagrangian and
+    # normalized scores; otherwise the bound is computed beside it
+    bound = _call(subgradient_method, inst, star_val,
+                  fork=cfg.score in ("pseudo", "none") and not finished())
+    try:
+        while not finished():
+            outer += 1
+            if cfg.score != "none":
+                base = w_cur if cfg.score == "pseudo" else bound().u
+                red, exhausted = reduction.fix_columns(inst, x_star, x_hat, base, rng)
+                fix_exhaustions += exhausted
+                if cfg.score == "normalized":
+                    scores = reduction.normalized_scores(red, base)
+                else:
+                    scores = reduction.pseudo_scores(red, base)
+                core = reduction.build_core(red, scores, x_star, x_hat)
+                core_fractions.append(core.sum() / inst.n if inst.n else 0.0)
+                sub, cols = red.restrict(core)
+                fixed_mask = ~red.free
             else:
-                scores = reduction.pseudo_scores(red, base)
-            core = reduction.build_core(red, scores, x_star, x_hat)
-            core_fractions.append(core.sum() / inst.n if inst.n else 0.0)
-            sub, cols = red.restrict(core)
-            fixed_mask = ~red.free
-        else:
-            sub, cols, fixed_mask = inst, np.arange(inst.n), np.zeros(inst.n, dtype=bool)
+                sub, cols, fixed_mask = inst, np.arange(inst.n), np.zeros(inst.n, dtype=bool)
 
-        wres = wls(SearchState(sub, wbar_vec, x0=x_hat[cols]),
-                   one_flip_only=(cfg.neighborhood == "1flip"),
-                   deadline=deadline)
-        w_cur = wres.w
-        # back to full width: sub column j is column cols[j], fixed ones stay in
-        x_hat, x_best = fixed_mask.copy(), fixed_mask.copy()
-        x_hat[cols], x_best[cols] = wres.x_hat, wres.x_best
-        v = model.penalized_objective(inst, x_best, wbar_vec)
-        if v < star_val:
-            star_val = v
-            x_star = x_best.copy()
-            timeline.append((outer, star_val, time.monotonic() - t0))
+            wres = wls(SearchState(sub, wbar_vec, x0=x_hat[cols]),
+                       one_flip_only=(cfg.neighborhood == "1flip"),
+                       deadline=deadline)
+            w_cur = wres.w
+            # back to full width: sub column j is column cols[j], fixed ones stay in
+            x_hat, x_best = fixed_mask.copy(), fixed_mask.copy()
+            x_hat[cols], x_best[cols] = wres.x_hat, wres.x_best
+            v = model.penalized_objective(inst, x_best, wbar_vec)
+            if v < star_val:
+                star_val = v
+                x_star = x_best.copy()
+                timeline.append((outer, star_val, time.monotonic() - t0))
 
-        if cfg.path_relinking:
-            def weval(x):
-                return model.penalized_objective(inst, x, w_cur)
+            if cfg.path_relinking:
+                def weval(x):
+                    return model.penalized_objective(inst, x, w_cur)
 
-            r1.update(x_hat, weval(x_hat), [weval(mm) for mm in r1.members])
-            r2.update(x_best, v, [model.penalized_objective(inst, mm, wbar_vec)
-                                  for mm in r2.members])
-            init, guide, fallback = draw_pair(r1, r2, model.solution_key(x_hat),
-                                              weval, rng)
-            if fallback is not None:
-                relink_fallbacks += 1
-                x_hat = fallback.copy()
-            else:
-                x_hat = walk(inst, w_cur, init, guide)
+                r1.update(x_hat, weval(x_hat), [weval(mm) for mm in r1.members])
+                r2.update(x_best, v, [model.penalized_objective(inst, mm, wbar_vec)
+                                      for mm in r2.members])
+                init, guide, fallback = draw_pair(r1, r2, model.solution_key(x_hat),
+                                                  weval, rng)
+                if fallback is not None:
+                    relink_fallbacks += 1
+                    x_hat = fallback.copy()
+                else:
+                    x_hat = walk(inst, w_cur, init, guide)
+
+        sres = bound()
+    finally:
+        bound(kill=True)  # a no-op once the result is in
 
     elapsed = time.monotonic() - t0
     feasible = model.is_feasible(inst, x_star)
@@ -228,4 +315,7 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
         config=asdict(cfg),
         instance={"m": inst.m, "n": inst.n, "k": inst.k, "nnz": inst.nnz},
         build=build_id(),
+        stats={"subgradient": {"iterations": int(sres.iterations),
+                               "evaluations": int(sres.evaluations),
+                               "step_final": float(sres.step_final)}},
     )

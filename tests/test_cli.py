@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,54 @@ def test_bench_workers_agree(t1_file, tmp_path, capsys):
     assert rows1 == rows2
     kinds = [row["kind"] for row in rows1]
     assert kinds.count("run") == 4 and kinds.count("avg") == 2
+
+
+def _group_pids():
+    """Processes in this process group, from /proc; None without /proc."""
+    group = os.getpgrp()
+    pids = set()
+    try:
+        names = os.listdir("/proc")
+    except OSError:
+        return None
+    for name in names:
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat", "rb") as fh:
+                stat = fh.read()
+        except OSError:
+            continue
+        # pgrp is the third field after the parenthesized command name
+        if int(stat[stat.rindex(b")") + 2:].split()[2]) == group:
+            pids.add(int(name))
+    return pids
+
+
+def test_bench_workers_fork_the_bound_and_agree(tmp_path, capsys):
+    # the bound runs in a child of each pool worker; the rows match a
+    # one-process bench and no process outlives the bench.  Every run finds
+    # the optimum (412 and 403) in its first iteration, so the time limit
+    # cannot move an objective.
+    for seed in (1, 2):
+        inst, _ = gio.generate(gio.GeneratorParams(rows=6, cols=16, density=0.3,
+                                                   block_size=4, cap=3, seed=seed))
+        gio.write_gub(inst, tmp_path / f"g{seed}.gub")
+    before = _group_pids()
+    base = ["bench", "--instances", str(tmp_path), "--schemes", "pseudo,none",
+            "--seeds", "2", "--time-limit", "0.3"]
+    rows = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}.csv"
+        assert cli.main(base + ["--workers", str(workers), "--out", str(out)]) == 0
+        _, got = _rows_without_elapsed(out)
+        rows[workers] = [(r["instance"], r["scheme"], r["seed"], r["objective"],
+                          r["lower_bound"]) for r in got if r["kind"] == "run"]
+    assert len(rows[1]) == 8 and rows[1] == rows[2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if before is not None:
+        assert _group_pids() <= before
 
 
 def test_bench_reads_each_file_once(t1_file, tmp_path, capsys, monkeypatch):

@@ -1,11 +1,14 @@
 """End-to-end solver runs on hand-checkable instances."""
 
+import dataclasses
 import functools
+import os
+import time
 
 import numpy as np
 import pytest
 
-from gubcover import driver, model, weighting
+from gubcover import driver, model, relaxation, weighting
 from gubcover import io as gio
 from gubcover.driver import SolverConfig
 from gubcover.model import Instance, as_bool
@@ -154,6 +157,106 @@ def test_result_metadata(t1):
     assert res.instance["n"] == 4
     assert res.build.startswith("gubcover-")
     assert res.cost_sum == 13
+
+
+# -- the bound computed beside the search ---------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_stats_carry_the_subgradient_counters(t1):
+    res = solve_checked(t1, quick())
+    star = res.timeline[0][1]
+    sres = relaxation.subgradient_method(t1, star)
+    assert res.stats == {"subgradient": {"iterations": sres.iterations,
+                                         "evaluations": sres.evaluations,
+                                         "step_final": sres.step_final}}
+    assert res.lower_bound == sres.bound
+
+
+@pytest.mark.parametrize("options,inline", [
+    ({"score": "pseudo"}, False), ({"score": "none"}, False),
+    ({"max_iterations": 0}, True), ({"target": 100}, True),
+    ({"score": "lagrangian"}, True), ({"score": "normalized"}, True)])
+def test_bound_runs_in_a_child_only_beside_a_search(t1, monkeypatch, options, inline):
+    # calls made in a child do not reach this process's list; the target
+    # is met by the greedy pools, so no outer iteration runs
+    calls = []
+
+    def counted(inst, ub):
+        calls.append(os.getpid())
+        return relaxation.subgradient_method(inst, ub)
+
+    monkeypatch.setattr(driver, "subgradient_method", counted)
+    res = solve_checked(t1, quick(**options))
+    assert calls == ([os.getpid()] if inline else [])
+    assert res.stats["subgradient"]["iterations"] > 0
+    assert_no_child_left()
+
+
+def test_child_exception_is_raised_in_solve(t1, monkeypatch):
+    def broken(inst, ub):
+        raise ValueError("no bound here")
+
+    monkeypatch.setattr(driver, "subgradient_method", broken)
+    with pytest.raises(ValueError, match="no bound here"):
+        driver.solve(t1, quick())
+    assert_no_child_left()
+
+
+def test_interrupted_search_kills_the_child(t1, monkeypatch):
+    def slow(inst, ub):
+        time.sleep(60)
+        return relaxation.subgradient_method(inst, ub)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(driver, "subgradient_method", slow)
+    monkeypatch.setattr(driver, "wls", interrupted)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        driver.solve(t1, quick())
+    assert time.monotonic() - t0 < 30  # killed, not waited for
+    assert_no_child_left()
+
+
+def test_child_reply_larger_than_a_pipe_buffer():
+    big = np.arange(1 << 17, dtype=np.float64)  # 1 MB, far past 64 KB
+    wait = driver._call(lambda: relaxation.SubgradientResult(
+        u=big, bound=1.5, iterations=3, evaluations=1, step_final=0.25), fork=True)
+    got = wait()
+    assert np.array_equal(got.u, big) and got.bound == 1.5
+    assert wait() is got
+    assert_no_child_left()
+
+
+def test_child_without_a_reply_raises():
+    wait = driver._call(os._exit, 3, fork=True)
+    with pytest.raises(RuntimeError, match="wait status 768"):
+        wait()
+    assert_no_child_left()
+
+
+def _without_seconds(res):
+    return dataclasses.replace(res, elapsed=0.0,
+                               timeline=[(i, v) for i, v, _ in res.timeline])
+
+
+@pytest.mark.parametrize("how", ["raises", "missing"])
+def test_solve_without_fork_gives_the_same_result(t1, monkeypatch, how):
+    want = _without_seconds(solve_checked(t1, quick()))
+    if how == "raises":
+        def refuse():
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", refuse)
+    else:
+        monkeypatch.delattr(os, "fork")
+    assert _without_seconds(solve_checked(t1, quick())) == want
 
 
 def test_small_random_instances_reach_optimum():

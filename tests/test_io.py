@@ -295,6 +295,7 @@ def test_result_serialization(tmp_path):
     assert payload["objective"] == 8 and payload["feasible"] is True
     assert payload["selected"] == [1, 2]
     assert payload["instance_name"] == "t1.gub"
+    assert payload["stats"] == result.stats
 
 
 def test_result_json_takes_numpy_config_values(tmp_path):
