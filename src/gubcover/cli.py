@@ -16,6 +16,7 @@ import functools
 import glob
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -82,16 +83,16 @@ def _load_once(path, fmt):
     return _load(path, fmt)
 
 
-def _solve_config(args, seed=None) -> SolverConfig:
+def _solve_config(args) -> SolverConfig:
     return SolverConfig(
         score=args.score,
         time_limit=args.time_limit,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
         neighborhood=args.neighborhood,
         path_relinking=not args.no_path_relinking,
         greedy="uniform" if args.uniform_greedy else "randomized",
-        target=getattr(args, "target", None),
-        max_iterations=getattr(args, "max_iterations", None),
+        target=args.target,
+        max_iterations=args.max_iterations,
     )
 
 
@@ -191,6 +192,13 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _time_limit(path) -> float:
+    """Default limit: its family's for a name that starts with a G-N letter
+    (either case) and then a digit, '_', '.', '-' or nothing; else 600 s."""
+    family = re.match(r"([G-N])(?:[0-9_.-]|$)", Path(path).name, re.IGNORECASE)
+    return CLASS_TIME_LIMITS[family[1].upper()] if family else 600
+
+
 def _class_of(path) -> str:
     stem = Path(path).name
     for suffix in (".gz", ".gub", ".txt"):
@@ -264,9 +272,7 @@ def cmd_bench(args) -> int:
         return _fail(f"no instances matching {args.glob!r} under {args.instances}")
     tasks = []
     for path in paths:
-        limit = args.time_limit
-        if limit is None:
-            limit = CLASS_TIME_LIMITS.get(_class_of(path), 600)
+        limit = _time_limit(path) if args.time_limit is None else args.time_limit
         for scheme in schemes:
             for seed in range(args.seeds):
                 try:

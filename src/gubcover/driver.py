@@ -104,23 +104,26 @@ class RunResult:
 
 @functools.cache
 def build_id() -> str:
-    """Package version, with the git revision when running from a checkout.
+    """Package version, with the git revision when a checkout tracks this
+    file (a copy in some other repository's ignored virtualenv gets none).
 
-    Computed once per process: the git call costs milliseconds per solve.
+    Computed once per process: the git calls cost milliseconds per solve.
     """
     try:
         version = metadata.version("gubcover")
     except metadata.PackageNotFoundError:
         version = "0+unknown"
     tag = f"gubcover-{version}"
+    here = Path(__file__).resolve()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(here.parent), *args], capture_output=True,
+                              text=True, timeout=5, check=True).stdout.strip()
+
     try:
-        out = subprocess.run(
-            ["git", "-C", str(Path(__file__).resolve().parent), "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            tag += "+" + out.stdout.strip()
-    except Exception:
+        git("ls-files", "--error-unmatch", here.name)  # raises unless tracked
+        tag += "+" + git("describe", "--always", "--dirty")
+    except (OSError, subprocess.SubprocessError):
         pass
     return tag
 

@@ -131,12 +131,11 @@ class Instance:
     block blocks[e] (all 0-based).  Entries may come in any order and may
     repeat: every list is stored sorted and without repeats, and the
     transpose and the block lookup are derived, so no instance holds
-    unsorted, repeated, out-of-range or mutually inconsistent lists.  A
-    column listed in several blocks gets the last of them as block_of,
-    which validate() then reports.  Raises ValueError for a coordinate list
-    that is neither empty nor of an integer dtype (bool and float lists
-    included), lists of different lengths, an index out of range or a
-    column in no block.
+    unsorted, repeated, out-of-range or mutually inconsistent lists.  The
+    blocks must partition the columns.  Raises ValueError for a coordinate
+    list that is neither empty nor of an integer dtype (bool and float
+    lists included), lists of different lengths, an index out of range or
+    a column in no block or in several.
 
     The adjacency lives in three frozen Csr buffers: col_rows (rows of each
     column), row_cols (columns of each row) and block_cols (members of each
@@ -180,11 +179,13 @@ class Instance:
         self.col_rows = Csr.group(cols, rows, n, m)
         self.row_cols = Csr.group(rows, cols, m, n)
         self.block_cols = Csr.group(blocks, members, k, n)
-        block_of = np.full(n, -1, dtype=np.int64)
-        np.maximum.at(block_of, self.block_cols.ind, self.block_cols.owners())
-        if np.any(block_of < 0):
-            bad = int(np.flatnonzero(block_of < 0)[0])
-            raise ValueError(f"column {bad} belongs to no block")
+        count = np.bincount(self.block_cols.ind, minlength=n)
+        if np.any(count != 1):
+            bad = int(np.flatnonzero(count != 1)[0])
+            where = f"{count[bad]} blocks" if count[bad] else "no block"
+            raise ValueError(f"column {bad} belongs to {where}")
+        block_of = np.empty(n, dtype=np.int64)
+        block_of[self.block_cols.ind] = self.block_cols.owners()
         self.block_of = _frozen(block_of)
         self.nnz = int(self.col_rows.ind.size)
         self.cost_sum = _exact_sum(self.cost)
@@ -364,12 +365,11 @@ def validate(inst: Instance) -> list[Violation]:
     """Check the values an instance takes from outside; [] when sound.
 
     The constructor already keeps every list sorted, without repeats and
-    in range, derives the transpose and puts each column in some block.
-    What is left is the values: positive costs whose sum fits in int64,
-    non-negative demands, no empty column, caps between 1 and the block
-    size, and no column in two blocks.  Violations come out costs and
-    demands first, then column by column and block by block in index
-    order, the partition last.
+    in range, derives the transpose and puts each column in exactly one
+    block.  What is left is the values: positive costs whose sum fits in
+    int64, non-negative demands, no empty column, and caps between 1 and
+    the block size.  Violations come out costs and demands first, then
+    column by column and block by block in index order.
     """
     out: list[Violation] = []
     if np.any(inst.cost <= 0):
@@ -383,27 +383,12 @@ def validate(inst: Instance) -> list[Violation]:
     for j in np.flatnonzero(np.diff(inst.col_rows.ptr) == 0):
         out.append(Violation("empty_column", f"column {j} covers no rows"))
 
-    blocks = inst.block_cols
-    owner = blocks.owners()
-    mismatch = np.zeros(inst.k, dtype=bool)
-    mismatch[owner[inst.block_of[blocks.ind] != owner]] = True
-    size = np.diff(blocks.ptr)
+    size = np.diff(inst.block_cols.ptr)
     cap_low = inst.cap < 1
     cap_high = inst.cap > size
-    for h in np.flatnonzero(cap_low | cap_high | mismatch):
+    for h in np.flatnonzero(cap_low | cap_high):
         if cap_low[h]:
             out.append(Violation("cap_not_positive", f"block {h} has cap {inst.cap[h]}"))
         if cap_high[h]:
             out.append(Violation("cap_exceeds_block_size", f"block {h} cap {inst.cap[h]} > size {size[h]}"))
-        if mismatch[h]:
-            out.append(Violation("block_of_mismatch", f"block {h} members disagree with block_of"))
-    seen = np.bincount(blocks.ind, minlength=inst.n)
-    if np.any(seen != 1):
-        bad = np.flatnonzero(seen != 1)[0]
-        out.append(
-            Violation(
-                "blocks_not_partition",
-                f"column {bad} appears in {seen[bad]} blocks",
-            )
-        )
     return out

@@ -9,22 +9,20 @@ reduction heuristics reuse for scoring columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import coverage_counts
 
-
-@dataclass
-class SubgradientParams:
-    step_init: float = 2.0
-    step_min: float = 0.005
-    halve_after: int = 30           # stalled iterations before halving the step
-    max_iters: int | None = None    # default 10 * m
-    pricing: str = "auto"           # "auto" | "on" | "off"
-    refresh: int = 100              # iterations between full evaluations
-    core_factor: int = 5            # core keeps core_factor * m cheapest columns
+STEP_INIT = 2.0         # first step factor
+STEP_MIN = 0.005        # the loop stops once the step factor falls below this
+HALVE_AFTER = 30        # stalled iterations before halving the step factor
+ITERS_PER_ROW = 10      # at most ITERS_PER_ROW * m iterations
+# pricing, for instances with more than max(4 * core, PRICED_ABOVE) columns
+CORE_FACTOR = 5         # the core keeps the CORE_FACTOR * m cheapest columns
+PRICED_ABOVE = 20000
+REFRESH = 100           # iterations between full evaluations
 
 
 @dataclass
@@ -121,41 +119,33 @@ def _build_core(inst, rc, factor):
     return allowed
 
 
-def subgradient_method(inst, ub, params: SubgradientParams | None = None) -> SubgradientResult:
+def subgradient_method(inst, ub) -> SubgradientResult:
     """Projected subgradient ascent on the Lagrangian dual.
 
     ub is the penalized value of the incumbent under the initial weights;
     the step is step * (ub - value) / ||g||^2 in the direction of the
-    uncovered demand g.  The step halves after `halve_after` iterations
-    without improvement and the loop stops once it falls below step_min,
+    uncovered demand g.  The step halves after HALVE_AFTER iterations
+    without improvement and the loop stops once it falls below STEP_MIN,
     the iteration cap is hit, or g vanishes.
 
-    With pricing on, iterations work on a reduced column core and only the
-    periodic full evaluations update the returned bound (a core-restricted
-    value is not a valid bound for the whole instance).
+    A large instance is priced: iterations work on a reduced column core
+    and only the full evaluations every REFRESH iterations update the
+    returned bound (a core-restricted value is not a valid bound for the
+    whole instance).
     """
-    p = params or SubgradientParams()
     m = inst.m
-    max_iters = p.max_iters if p.max_iters is not None else 10 * m
-    core_size = min(inst.n, p.core_factor * m)
-    if p.pricing == "on":
-        pricing = True
-    elif p.pricing == "off":
-        pricing = False
-    else:
-        pricing = inst.n > max(4 * core_size, 20000)
-
+    pricing = inst.n > max(4 * min(inst.n, CORE_FACTOR * m), PRICED_ABOVE)
     u = np.zeros(m)
     best_u = u.copy()
     best_lb = -np.inf
     best_seen = -np.inf
-    lam = p.step_init
+    lam = STEP_INIT
     stall = 0
     evals = 0
     core_idx = core_cost = core_mat = None
     it = 0
-    while it < max_iters and lam >= p.step_min:
-        full = (not pricing) or (it % p.refresh == 0)
+    while it < ITERS_PER_ROW * m and lam >= STEP_MIN:
+        full = (not pricing) or (it % REFRESH == 0)
         if full:
             rc = reduced_costs(inst, u)
             x, value = solve_lr(inst, u, rc=rc)
@@ -164,7 +154,7 @@ def subgradient_method(inst, ub, params: SubgradientParams | None = None) -> Sub
                 best_lb = value
                 best_u = u.copy()
             if pricing:
-                core_idx = np.flatnonzero(_build_core(inst, rc, p.core_factor))
+                core_idx = np.flatnonzero(_build_core(inst, rc, CORE_FACTOR))
                 core_cost = inst.cost[core_idx]
                 core_mat = inst.col_matrix()[core_idx]
             if value >= ub:
@@ -177,7 +167,7 @@ def subgradient_method(inst, ub, params: SubgradientParams | None = None) -> Sub
             stall = 0
         else:
             stall += 1
-            if stall >= p.halve_after:
+            if stall >= HALVE_AFTER:
                 lam *= 0.5
                 stall = 0
         g = inst.demand - coverage_counts(inst, x)

@@ -10,6 +10,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -421,6 +422,31 @@ def test_bench_reads_each_file_once(t1_file, tmp_path, capsys, monkeypatch):
     # the slot is cleared after each bench, so a second one reads again
     assert cli.main(base + ["--out", str(tmp_path / "b.csv")]) == 0
     assert calls == [t1_file, t1_file]
+
+
+def test_bench_time_limit_follows_the_family_letter(tmp_path, monkeypatch):
+    limits = {"G1.gub": 600, "K_1.gub": 1200, "K1.gub": 1200, "k1.gub": 1200,
+              "l-2.gub": 1200, "m.gub": 3000, "n9_x.gub": 3000,
+              "kx1.gub": 600, "mine.gub": 600, "t1.gub": 600}
+    for name in limits:
+        gio.write_gub(build_t1(), tmp_path / name)
+    configs = []
+
+    def recording(inst, cfg):
+        configs.append(cfg)
+        return SimpleNamespace(objective=8, feasible=True, penalized=8.0,
+                               lower_bound=7.0, elapsed=0.0)
+
+    monkeypatch.setattr(cli, "solve", recording)
+    out = tmp_path / "bench.csv"
+    assert cli.main(["bench", "--instances", str(tmp_path), "--out", str(out)]) == 0
+    assert [c.time_limit for c in configs] == [limits[name] for name in sorted(limits)]
+    _, rows = _rows_without_elapsed(out)
+    runs = {row["instance"]: row for row in rows if row["kind"] == "run"}
+    assert {name: float(row["time_limit"]) for name, row in runs.items()} == limits
+    # the class column still names the stem up to the first '_' or '.'
+    assert runs["K_1.gub"]["class"] == "K" and runs["k1.gub"]["class"] == "k1"
+    assert runs["mine.gub"]["class"] == "mine"
 
 
 def test_bench_gap_against_best_known(t1_file, tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import os
+import subprocess
 import time
 
 import numpy as np
@@ -157,6 +158,39 @@ def test_result_metadata(t1):
     assert res.instance["n"] == 4
     assert res.build.startswith("gubcover-")
     assert res.cost_sum == 13
+
+
+@pytest.fixture()
+def fresh_build_id():
+    driver.build_id.cache_clear()
+    yield
+    driver.build_id.cache_clear()
+
+
+def test_build_id_names_only_a_repo_that_tracks_the_package(tmp_path, monkeypatch,
+                                                            fresh_build_id):
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                               "-c", "user.email=t@example.com", *args],
+                              check=True, capture_output=True, text=True).stdout.strip()
+
+    # a copy of the package in an ignored virtualenv of some other repository
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text(".venv/\n")
+    git("add", ".gitignore")
+    git("commit", "-q", "-m", "first")
+    copy = tmp_path / ".venv" / "gubcover" / "driver.py"
+    copy.parent.mkdir(parents=True)
+    copy.write_text("")
+    monkeypatch.setattr(driver, "__file__", str(copy))
+    untracked = driver.build_id()
+    assert untracked.startswith("gubcover-")
+    assert git("rev-parse", "--short", "HEAD") not in untracked
+
+    git("add", "-f", str(copy))
+    git("commit", "-q", "-m", "second")
+    driver.build_id.cache_clear()
+    assert driver.build_id() == f"{untracked}+{git('describe', '--always', '--dirty')}"
 
 
 # -- the bound computed beside the search ---------------------------------

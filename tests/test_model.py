@@ -24,6 +24,15 @@ def test_from_columns_rejects_column_outside_every_block():
                               demand=[1, 1], blocks=[(1, [0]), (1, [1])])
 
 
+def test_constructor_rejects_column_in_two_blocks():
+    # a column in several blocks would have no single block_of; a repeat
+    # inside one block counts once
+    with pytest.raises(ValueError, match="column 1 belongs to 2 blocks"):
+        Instance([3, 4], [1], [0, 0], [0, 1], [1, 1], [0, 0, 1], [0, 1, 1])
+    with pytest.raises(ValueError, match="column 0 belongs to 3 blocks"):
+        Instance([3], [1], [0], [0], [1, 1, 1], [2, 0, 1, 0], [0, 0, 0, 0])
+
+
 COORDS = dict(rows=[0, 1, 1], cols=[0, 0, 1], blocks=[0, 0], members=[0, 1])
 
 
@@ -380,21 +389,14 @@ def validate_reference(inst):
             out.append(model.Violation("transpose_mismatch", f"row {i} column list disagrees with column data"))
             break
 
-    seen = np.zeros(inst.n, dtype=np.int64)
     for h, members in enumerate(inst.block_cols):
         if len(members) and (members.min() < 0 or members.max() >= inst.n):
             out.append(model.Violation("column_index_range", f"block {h} references column {int(members.max())}"))
             continue
-        seen[members] += 1
         if inst.cap[h] < 1:
             out.append(model.Violation("cap_not_positive", f"block {h} has cap {inst.cap[h]}"))
         if inst.cap[h] > len(members):
             out.append(model.Violation("cap_exceeds_block_size", f"block {h} cap {inst.cap[h]} > size {len(members)}"))
-        if np.any(inst.block_of[members] != h):
-            out.append(model.Violation("block_of_mismatch", f"block {h} members disagree with block_of"))
-    if np.any(seen != 1):
-        bad = np.flatnonzero(seen != 1)[0]
-        out.append(model.Violation("blocks_not_partition", f"column {bad} appears in {seen[bad]} blocks"))
     return out
 
 
@@ -478,14 +480,13 @@ FAULTS = {
     "duplicate_entry": _fault_duplicate,
     "cap_not_positive": _fault_cap_low,
     "cap_exceeds_block_size": _fault_cap_high,
-    "block_of_mismatch": _fault_second_block,
-    "blocks_not_partition": _fault_second_block,
     "unsorted_block": lambda p, rng: p["blocks"][_pick(rng, p["blocks"])][1].reverse(),
     "repeated_block_member": _fault_block_repeat,
 }
 
 # faults in the lists themselves, which no instance can hold
 RAW_FAULTS = {
+    "column_in_two_blocks": _fault_second_block,
     "row_index_range": _fault_row_range,
     "column_index_range": _fault_column_range,
     "column_count_mismatch": _fault_column_count,
@@ -536,5 +537,5 @@ def test_from_columns_rejects_raw_fault(fault):
     for _ in range(40):
         parts = _parts(random_instance(rng))
         RAW_FAULTS[fault](parts, rng)
-        with pytest.raises(ValueError, match="out of range|column lists for"):
+        with pytest.raises(ValueError, match="out of range|column lists for|belongs to 2 blocks"):
             Instance.from_columns(**parts)

@@ -1,5 +1,7 @@
 """Closed-form relaxation solves and the subgradient bound loop."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from gubcover import model
 from gubcover import relaxation as rx
-from gubcover.relaxation import SubgradientParams
 
 import oracle
 from conftest import int64_matrix, random_instance
@@ -231,34 +232,43 @@ def test_subgradient_vector_t1(t1):
     assert list(t1.demand - cov) == [-1, 0, 0]
 
 
-def test_subgradient_first_step_t1(t1):
+def cap_iterations(monkeypatch, inst, count):
+    """Cap subgradient_method at count iterations on inst."""
+    monkeypatch.setattr(rx, "ITERS_PER_ROW", Fraction(count, inst.m))
+
+
+def test_subgradient_first_step_t1(t1, monkeypatch):
     # from u=0 with unit step: g = b, |g|^2 = 6, scale = 1 * (8 - 0) / 6
-    res = rx.subgradient_method(t1, 8.0, SubgradientParams(step_init=1.0, max_iters=1))
+    monkeypatch.setattr(rx, "STEP_INIT", 1.0)
+    cap_iterations(monkeypatch, t1, 1)
+    res = rx.subgradient_method(t1, 8.0)
     assert res.u == pytest.approx([4 / 3, 4 / 3, 8 / 3])
     assert res.bound == pytest.approx(16 / 3)
     assert res.iterations == 1
 
 
-def test_subgradient_bound_t1(t1):
-    res = rx.subgradient_method(t1, 8.0, SubgradientParams(max_iters=200))
+def test_subgradient_bound_t1(t1, monkeypatch):
+    cap_iterations(monkeypatch, t1, 200)
+    res = rx.subgradient_method(t1, 8.0)
     # witness u=(2,2,2) proves 6 is reachable; weak duality caps at 8
     assert 6.0 <= res.bound <= 8.0
     assert res.bound == pytest.approx(7.0)
 
 
-def test_subgradient_zero_gap_is_stationary(t1):
+def test_subgradient_zero_gap_is_stationary(t1, monkeypatch):
     # ub equal to z_LR(u0) = 0 makes every step zero
-    res = rx.subgradient_method(t1, 0.0, SubgradientParams(max_iters=5))
+    cap_iterations(monkeypatch, t1, 5)
+    res = rx.subgradient_method(t1, 0.0)
     assert res.bound == 0.0
     assert np.all(res.u == 0)
 
 
-def test_multipliers_stay_nonnegative():
+def test_multipliers_stay_nonnegative(monkeypatch):
     rng = np.random.default_rng(24)
     for _ in range(10):
         inst = random_instance(rng, m=8, n=20)
-        res = rx.subgradient_method(inst, float(inst.cost.sum()),
-                                    SubgradientParams(max_iters=60))
+        cap_iterations(monkeypatch, inst, 60)
+        res = rx.subgradient_method(inst, float(inst.cost.sum()))
         assert np.all(res.u >= 0)
 
 
@@ -275,12 +285,39 @@ def test_bound_is_valid_lower_bound():
         checked += 1
 
 
-def test_pricing_consistency():
+def test_pricing_consistency(monkeypatch):
     from gubcover.io import GeneratorParams, generate
-    inst, _ = generate(GeneratorParams(rows=100, cols=1200, density=0.05,
+    # n = 2400 is above 4 * the 500-column core, so only the size floor
+    # keeps this instance unpriced
+    inst, _ = generate(GeneratorParams(rows=100, cols=2400, density=0.05,
                                        block_size=12, cap=3, seed=2))
     ub = float(inst.cost.sum()) * 0.1
-    on = rx.subgradient_method(inst, ub, SubgradientParams(pricing="on"))
-    off = rx.subgradient_method(inst, ub, SubgradientParams(pricing="off"))
+    off = rx.subgradient_method(inst, ub)
+    monkeypatch.setattr(rx, "PRICED_ABOVE", 0)
+    on = rx.subgradient_method(inst, ub)
+    assert off.evaluations == off.iterations + 1  # every iteration evaluated in full
     assert on.bound == pytest.approx(off.bound, rel=0.01)
     assert on.evaluations < on.iterations  # pricing skipped full evaluations
+
+
+def skinny_instance(m, n, block_size, cap):
+    """m x n instance in which column j covers row j % m alone, blocks of
+    block_size consecutive columns with cap cap, unit demands."""
+    cols = np.arange(n)
+    cost = np.random.default_rng(0).integers(1, 101, n)
+    return model.Instance(cost, np.ones(m, dtype=np.int64), cols % m, cols,
+                          np.full(n // block_size, cap), cols // block_size, cols)
+
+
+@pytest.mark.parametrize("m,n,block_size,priced", [
+    (1000, 10000, 10, False),    # g1-tight: cap 1 of 10
+    (1000, 10000, 1, False),     # scp-nrg: singleton blocks
+    (2000, 100000, 50, True),    # k1-construct
+])
+def test_benchmark_shapes_priced_by_size(m, n, block_size, priced):
+    # one column per row, at the top cost 100, bounds the optimum
+    res = rx.subgradient_method(skinny_instance(m, n, block_size, 1), 100.0 * m)
+    if priced:
+        assert res.evaluations < res.iterations
+    else:
+        assert res.evaluations == res.iterations + 1
