@@ -192,28 +192,33 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _time_limit(path) -> float:
-    """Default limit: its family's for a name that starts with a G-N letter
-    (either case) and then a digit, '_', '.', '-' or nothing; else 600 s."""
-    family = re.match(r"([G-N])(?:[0-9_.-]|$)", Path(path).name, re.IGNORECASE)
-    return CLASS_TIME_LIMITS[family[1].upper()] if family else 600
+def _family(path) -> tuple[int, str]:
+    """(default time limit, class) of an instance file for bench.
 
-
-def _class_of(path) -> str:
-    stem = Path(path).name
+    The class is the name up to its first '_' or '.', suffixes aside.  A
+    name that starts with a G-N letter (either case) and then a digit, '_',
+    '.', '-' or nothing is of that family: it gets the family's limit and
+    its class the letter in upper case.  Any other name gets 600 s.
+    """
+    stem = name = Path(path).name
     for suffix in (".gz", ".gub", ".txt"):
         if stem.endswith(suffix):
             stem = stem[: -len(suffix)]
-    return stem.split(".")[0].split("_")[0] or stem
+    stem = stem.split(".")[0].split("_")[0] or stem
+    family = re.match(r"([G-N])(?:[0-9_.-]|$)", name, re.IGNORECASE)
+    if family is None:
+        return 600, stem
+    letter = family[1].upper()
+    return CLASS_TIME_LIMITS[letter], letter + stem[1:]
 
 
 def _bench_one(task):
-    """One (path, fmt, config) run; module-level for pickling."""
-    path, fmt, cfg = task
+    """One (path, class, fmt, config) run; module-level for pickling."""
+    path, cls, fmt, cfg = task
     result = solve(_load_once(path, fmt), cfg)
     return {
         "kind": "run",
-        "class": _class_of(path),
+        "class": cls,
         "instance": Path(path).name,
         "scheme": cfg.score,
         "seed": cfg.seed,
@@ -272,14 +277,15 @@ def cmd_bench(args) -> int:
         return _fail(f"no instances matching {args.glob!r} under {args.instances}")
     tasks = []
     for path in paths:
-        limit = _time_limit(path) if args.time_limit is None else args.time_limit
+        default, cls = _family(path)
+        limit = default if args.time_limit is None else args.time_limit
         for scheme in schemes:
             for seed in range(args.seeds):
                 try:
                     cfg = SolverConfig(score=scheme, time_limit=float(limit), seed=seed).check()
                 except ValueError as err:
                     return _fail(str(err))
-                tasks.append((path, args.format, cfg))
+                tasks.append((path, cls, args.format, cfg))
     try:
         if args.workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:

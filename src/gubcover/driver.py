@@ -265,8 +265,7 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
             else:
                 sub, cols, fixed_mask = inst, np.arange(inst.n), np.zeros(inst.n, dtype=bool)
 
-            wres = wls(SearchState(sub, wbar_vec, x0=x_hat[cols]),
-                       one_flip_only=(cfg.neighborhood == "1flip"),
+            wres = wls(sub, x_hat[cols], one_flip_only=(cfg.neighborhood == "1flip"),
                        deadline=deadline)
             w_cur = wres.w
             # back to full width: sub column j is column cols[j], fixed ones stay in

@@ -45,6 +45,7 @@ moves made are those of pricing every candidate.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
@@ -223,25 +224,6 @@ class SearchState:
         self.zhat = undo["zhat"]
 
 
-class BestTracker:
-    """Remembers the best solution under the initial weights seen so far."""
-
-    def __init__(self):
-        self.value = np.inf
-        self.x = None
-
-    def observe(self, state: SearchState):
-        v = state.zbar()
-        if v < self.value:
-            self.value = v
-            self.x = state.x.copy()
-
-
-def _observe(tracker, state):
-    if tracker is not None:
-        tracker.observe(state)
-
-
 def gain_tol(state, zhat=None) -> float:
     """Minimum gain a move must clear to count as improving.
 
@@ -255,23 +237,20 @@ def gain_tol(state, zhat=None) -> float:
     return 1e-6 * max(1.0, abs(state.zhat if zhat is None else zhat))
 
 
-def _descend(state, tracker, budget, gains):
+def _descend(state, gains):
     """Make the best single flip by gains() until none beats the gain floor.
 
     gains is state.add_gains or state.drop_gains; ties go to the lowest
-    column.  An instance with no column moves nothing.
+    column.  An instance with no column moves nothing.  Like every move
+    maker here, it yields after each move and returns whether it moved.
     """
     moved = False
-    while budget[0] > 0:
-        g = gains()
-        if g.size == 0:
-            break
+    while (g := gains()).size:
         j = int(np.argmin(g))
         if not g[j] < -gain_tol(state):
             break
         state.flip(j)
-        _observe(tracker, state)
-        budget[0] -= 1
+        yield
         moved = True
     return moved
 
@@ -330,7 +309,7 @@ def _saturated_screen(state, blocks):
     return members[a1], members[a2], gain - margin
 
 
-def _step_swap_saturated(state, tracker, budget):
+def _step_swap_saturated(state):
     """Swap inside saturated blocks while any such swap improves.
 
     Inside a block at its cap, a single add is never allowed, so the only
@@ -345,7 +324,8 @@ def _step_swap_saturated(state, tracker, budget):
     priced exactly, by two_flip_delta, which decides.  The screen is taken
     again after each swap, the only time the state moves, so the pass makes
     the same swaps, in the same order, as pricing every saturated block.
-    With no saturated block the pass returns before any screen.
+    It yields after a swap, before that screen.  With no saturated block
+    the pass returns before any screen.
     """
     size = np.diff(state.inst.block_cols.ptr)
     blocks = np.flatnonzero((state.blk == state.d) & (state.blk > 0) & (size > state.blk))
@@ -353,11 +333,11 @@ def _step_swap_saturated(state, tracker, budget):
         return False
     j1, j2, low = _saturated_screen(state, blocks)
     p, moved, swapped = 0, False, False
-    while budget[0] > 0:
+    while True:
         ahead = np.flatnonzero(low[p:] < -gain_tol(state))
         if ahead.size == 0:
             if not swapped:
-                break
+                return moved
             p, swapped = 0, False
             continue
         p += int(ahead[0])
@@ -366,11 +346,9 @@ def _step_swap_saturated(state, tracker, budget):
         if state.two_flip_delta(drop, add) < -gain_tol(state):
             state.flip(drop)
             state.flip(add)
-            _observe(tracker, state)
-            budget[0] -= 1
+            yield
             moved = swapped = True
             j1, j2, low = _saturated_screen(state, blocks)
-    return moved
 
 
 def _best_partner(state, j1, d1):
@@ -461,7 +439,7 @@ def _scan_screen(state, cand):
     return cand[(low < floor) | unsure]
 
 
-def _step_swap_scan(state, tracker, budget):
+def _step_swap_scan(state):
     """Drop/add swaps over the selected columns, first hit wins.
 
     Visits the candidate columns by ascending drop gain (order frozen at
@@ -477,56 +455,63 @@ def _step_swap_scan(state, tracker, budget):
     exact gain decides.  A dropped candidate has no improving partner, so
     the first hit is the one pricing every candidate would find.
     """
-    if budget[0] <= 0:
-        return False
     for j1 in _scan_screen(state, _scan_candidates(state)):
         d1 = state.delta_down(j1)
         best = _best_partner(state, j1, d1)
         if best is not None and best[0] < -gain_tol(state, state.zhat + d1):
             state.trial_flip_down(j1)
             state.flip(best[1])
-            _observe(tracker, state)
-            budget[0] -= 1
+            yield
             return True
     return False
 
 
-def two_fnls(state: SearchState, one_flip_only=False, tracker=None, move_cap=None,
-             deadline=None):
-    """Drive the state to a local optimum of the penalized objective.
+def _moves(state, one_flip_only, deadline):
+    """The phase cycle of two_fnls, yielding after each move.
 
     Phase order: exhaust improving adds, exhaust improving drops, swap
     inside saturated blocks, then scan for general drop/add swaps; any
     accepted pair move restarts the cycle, so on exit no phase has an
     improving move left.  Single-flip phases always run to completion
-    before the pair phases, and the routine only ever accepts strictly
-    improving moves.  Pair gains come in closed form (see the module notes).
+    before the pair phases.  The deadline is checked between them.
+    """
+    while True:
+        # alternate the single-flip phases until quiet: under small weights
+        # an accepted drop can uncover rows and re-enable adds
+        while True:
+            yield from _descend(state, state.add_gains)
+            if not (yield from _descend(state, state.drop_gains)):
+                break
+        if one_flip_only or (deadline is not None and time.monotonic() >= deadline):
+            return
+        if (yield from _step_swap_saturated(state)):
+            continue
+        if not (yield from _step_swap_scan(state)):
+            return
+
+
+def two_fnls(state: SearchState, one_flip_only=False, move_cap=None, deadline=None):
+    """Drive the state toward a local optimum of the penalized objective.
+
+    Makes the moves of _moves, which only ever accepts strictly improving
+    ones; pair gains come in closed form (see the module notes).  Returns
+    (value, x): the least zbar() visited, the start included, and a copy of
+    the first x that reached it.
 
     deadline (time.monotonic seconds) cuts the run short between phases;
     near-uniform weights can make the swap scan grind through long chains
     of tiny gains, and the caller's time budget outranks local optimality.
-    move_cap bounds the total accepted flips as insurance against
-    float-induced cycling after weight rescaling.
+    move_cap bounds the accepted moves, a pair counting as one, as
+    insurance against float-induced cycling after weight rescaling.
     """
     state.resync_zhat()
-    _observe(tracker, state)
-    budget = [move_cap if move_cap is not None else 200 * state.inst.n + 1000]
-    while True:
-        # alternate the single-flip phases until quiet: under small weights
-        # an accepted drop can uncover rows and re-enable adds
-        while budget[0] > 0:
-            _descend(state, tracker, budget, state.add_gains)
-            if not _descend(state, tracker, budget, state.drop_gains):
-                break
-        if one_flip_only or budget[0] <= 0:
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        if _step_swap_saturated(state, tracker, budget):
-            continue
-        if not _step_swap_scan(state, tracker, budget):
-            break
-    return state
+    best, best_x = state.zbar(), state.x.copy()
+    cap = move_cap if move_cap is not None else 200 * state.inst.n + 1000
+    for _ in itertools.islice(_moves(state, one_flip_only, deadline), cap):
+        value = state.zbar()
+        if value < best:
+            best, best_x = value, state.x.copy()
+    return best, best_x
 
 
 def lowest_k(values, k):
@@ -610,5 +595,6 @@ def greedy_construct(empty, rng, width=5, uniform=False):
             break
         pool = cols if uniform else cols[lowest_k(gains, width)]
         state.flip(int(pool[rng.integers(pool.size)]))
-    _descend(state, None, [1 << 60], state.drop_gains)
+    for _ in _descend(state, state.drop_gains):
+        pass
     return state

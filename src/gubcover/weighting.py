@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .localsearch import BestTracker, two_fnls
+from .localsearch import SearchState, two_fnls
+from .model import initial_weights
 
 INCREASE_DELTA = 0.2      # the most violated row's weight grows by this factor
 DECREASE_FRACTION = 0.15  # share of selected columns a decrease makes worth dropping
@@ -86,28 +87,24 @@ class WlsResult:
     iterations: int
 
 
-def wls(state, window=50, one_flip_only=False, deadline=None):
-    """Weighted local search: repeat two_fnls, adapting weights in between.
+def wls(inst, x0, window=50, one_flip_only=False, deadline=None):
+    """Weighted local search from x0: repeat two_fnls, adapting weights in between.
 
-    Restarts the weights at their initial values, then loops: search,
+    Starts a SearchState at the initial weights, then loops: search,
     compare the best solution the round visited against the incumbent of
     this call (always under the initial weights), and stop after `window`
     rounds without improvement or when the deadline passes.  After each
     round the weights decrease when the round's end state is no better
     than that incumbent, and increase on the violated rows otherwise.
     """
-    state.set_weights(np.full(state.inst.m, state.wbar))
-    best_x = state.x.copy()
-    best_val = state.zbar()
-    fails = 0
-    rounds = 0
+    state = SearchState(inst, initial_weights(inst), x0=x0)
+    best_val, best_x = state.zbar(), state.x.copy()
+    fails = rounds = 0
     while True:
         rounds += 1
-        tracker = BestTracker()
-        two_fnls(state, one_flip_only=one_flip_only, tracker=tracker, deadline=deadline)
-        if tracker.value < best_val:
-            best_val = tracker.value
-            best_x = tracker.x
+        value, x = two_fnls(state, one_flip_only=one_flip_only, deadline=deadline)
+        if value < best_val:
+            best_val, best_x = value, x
             fails = 0
         else:
             fails += 1

@@ -7,6 +7,8 @@ the multicover side is satisfiable on its own; the block caps may still
 make an instance infeasible, which several tests rely on.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -151,16 +153,15 @@ def nb1_state(rng, inst, w=None):
 def solver_pair_move(state):
     """One improving pair move as the solver's own pair phases find it.
 
-    Runs the saturated-block swap and then the swap scan with a budget of
-    one move on a fresh copy of state, which is left untouched.  Returns
-    (delta, j1, j2), the zhat change of dropping j1 and adding j2, or None
-    when neither phase moves.
+    Takes the first move of the saturated-block swap and then the swap
+    scan on a copy of state, which is left untouched.  Returns (delta, j1,
+    j2), the zhat change of dropping j1 and adding j2, or None when neither
+    phase moves.
     """
-    st = localsearch.SearchState(state.inst, state.w, x0=state.x)
-    budget = [1]
-    localsearch._step_swap_saturated(st, None, budget)
-    localsearch._step_swap_scan(st, None, budget)
-    if budget[0] == 1:
+    st = state.copy()
+    moves = itertools.chain(localsearch._step_swap_saturated(st),
+                            localsearch._step_swap_scan(st))
+    if next(moves, False) is False:
         return None
     changed = np.flatnonzero(st.x != state.x)
     j1, j2 = changed[state.x[changed]], changed[~state.x[changed]]

@@ -444,9 +444,11 @@ def test_bench_time_limit_follows_the_family_letter(tmp_path, monkeypatch):
     _, rows = _rows_without_elapsed(out)
     runs = {row["instance"]: row for row in rows if row["kind"] == "run"}
     assert {name: float(row["time_limit"]) for name, row in runs.items()} == limits
-    # the class column still names the stem up to the first '_' or '.'
-    assert runs["K_1.gub"]["class"] == "K" and runs["k1.gub"]["class"] == "k1"
-    assert runs["mine.gub"]["class"] == "mine"
+    # the class column names the stem up to the first '_' or '.', with a
+    # family's letter in upper case, so k1 and K1 are one class
+    assert runs["k1.gub"]["class"] == runs["K1.gub"]["class"] == "K1"
+    assert runs["K_1.gub"]["class"] == "K" and runs["l-2.gub"]["class"] == "L-2"
+    assert runs["mine.gub"]["class"] == "mine" and runs["t1.gub"]["class"] == "t1"
 
 
 def test_bench_gap_against_best_known(t1_file, tmp_path, capsys):

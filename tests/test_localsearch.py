@@ -1,5 +1,6 @@
 """SearchState cache exactness and the two-flip local search."""
 
+import itertools
 import time
 
 import numpy as np
@@ -241,21 +242,19 @@ def test_saturated_swap_respects_budget():
         inst = random_instance(rng)
         state = nb1_state(rng, inst, w=random_weights(rng, inst))
         x0 = state.x.copy()
-        budget = [1]
-        ls._step_swap_saturated(state, None, budget)
-        assert budget[0] >= 0
+        list(itertools.islice(ls._step_swap_saturated(state), 1))
         assert np.count_nonzero(state.x != x0) <= 2
 
 
 def test_best_tracker_keeps_minimum(t1):
-    tracker = ls.BestTracker()
     state = wbar_state(t1)
-    ls.two_fnls(state, tracker=tracker)
-    assert tracker.value == 8
-    assert list(np.flatnonzero(tracker.x)) == [1, 2]
-    # forcing the state elsewhere must not disturb the tracker copy
+    value, x = ls.two_fnls(state)
+    assert value == 8
+    assert list(np.flatnonzero(x)) == [1, 2]
+    assert x is not state.x
+    # forcing the state elsewhere must not disturb the returned copy
     state.flip(2)
-    assert list(np.flatnonzero(tracker.x)) == [1, 2]
+    assert list(np.flatnonzero(x)) == [1, 2]
 
 
 def test_greedy_construct_properties():
@@ -312,7 +311,8 @@ def full_scan_greedy(inst, w, rng, width, uniform):
             break
         pool = cand if uniform else cand[ls.lowest_k(deltas[cand], width)]
         state.flip(int(pool[rng.integers(pool.size)]))
-    ls._descend(state, None, [1 << 60], state.drop_gains)
+    for _ in ls._descend(state, state.drop_gains):
+        pass
     return state
 
 

@@ -321,3 +321,10 @@ def test_benchmark_shapes_priced_by_size(m, n, block_size, priced):
         assert res.evaluations < res.iterations
     else:
         assert res.evaluations == res.iterations + 1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the priced subgradient stops "
+                   "before re-pricing lifts the bound above 0 at this target")
+def test_priced_bound_on_skinny_k1_shape():
+    res = rx.subgradient_method(skinny_instance(2000, 100000, 50, 1), 20000.0)
+    assert res.bound > 0

@@ -96,27 +96,30 @@ def test_increase_noop_when_feasible(t1):
 
 
 def test_wls_t1_finds_optimum(t1):
-    state = ls.SearchState(t1, model.initial_weights(t1))
-    res = weighting.wls(state)
+    res = weighting.wls(t1, np.zeros(t1.n, dtype=bool))
     assert list(np.flatnonzero(res.x_best)) == [1, 2]
     assert res.zbar_best == 8
     assert res.iterations >= 1
 
 
-def test_wls_resets_weights_at_entry(t1):
-    state = ls.SearchState(t1, np.full(3, 2.0))
-    weighting.wls(state)
-    # entry rule: start from the initial weights, not whatever the state had
-    assert np.all(state.w <= 14.0)
-    assert np.all(state.w > 0)
+def test_wls_resets_weights_at_entry(t1, monkeypatch):
+    search, seen = weighting.two_fnls, []
+
+    def recording(state, **kwargs):
+        seen.append(state.w.copy())
+        return search(state, **kwargs)
+
+    monkeypatch.setattr(weighting, "two_fnls", recording)
+    weighting.wls(t1, np.zeros(t1.n, dtype=bool))
+    # entry rule: the first round searches under the initial weights
+    assert np.array_equal(seen[0], model.initial_weights(t1))
 
 
 def test_wls_infeasible_demand_signals(t1):
     # row 2 has three covering columns; demanding four is impossible
     inst = Instance.from_columns([4, 3, 5, 1], [[0, 1], [1, 2], [0, 2], [2]],
                                  [1, 1, 4], [(1, [0, 1]), (2, [2, 3])])
-    state = ls.SearchState(inst, model.initial_weights(inst))
-    res = weighting.wls(state, window=5)
+    res = weighting.wls(inst, np.zeros(inst.n, dtype=bool), window=5)
     assert res.zbar_best > inst.cost.sum()
 
 
@@ -128,8 +131,7 @@ def test_wls_never_beaten_by_plain_search():
         w = model.initial_weights(inst)
         plain = ls.SearchState(inst, w, x0=x0)
         ls.two_fnls(plain)
-        state = ls.SearchState(inst, w, x0=x0)
-        res = weighting.wls(state, window=10)
+        res = weighting.wls(inst, x0, window=10)
         assert res.zbar_best <= plain.zbar() + 1e-9
 
 
@@ -137,8 +139,7 @@ def test_wls_weights_stay_in_bounds():
     rng = np.random.default_rng(42)
     for _ in range(10):
         inst = random_instance(rng)
-        state = ls.SearchState(inst, model.initial_weights(inst))
-        res = weighting.wls(state, window=8)
+        res = weighting.wls(inst, np.zeros(inst.n, dtype=bool), window=8)
         wbar = inst.cost.sum() + 1
         assert np.all(res.w > 0)
         assert np.all(res.w <= wbar + 1e-9)
@@ -147,9 +148,8 @@ def test_wls_weights_stay_in_bounds():
 def test_wls_deadline_cuts_off():
     rng = np.random.default_rng(43)
     inst = random_instance(rng, m=20, n=40)
-    state = ls.SearchState(inst, model.initial_weights(inst))
     t0 = time.monotonic()
-    res = weighting.wls(state, deadline=time.monotonic())
+    res = weighting.wls(inst, np.zeros(inst.n, dtype=bool), deadline=time.monotonic())
     assert time.monotonic() - t0 < 2.0
     assert res.iterations <= 2
     assert res.x_best is not None
