@@ -315,15 +315,9 @@ def cmd_bench(args) -> int:
         avg = {
             "kind": "avg",
             "class": klass,
-            "instance": "",
             "scheme": scheme,
-            "seed": "",
             "objective": f"{np.mean([r['objective'] for r in members]):.2f}",
             "feasible": f"{np.mean([r['feasible'] for r in members]):.2f}",
-            "penalized": "",
-            "lower_bound": "",
-            "elapsed": "",
-            "time_limit": "",
         }
         gaps = [float(r["gap_pct"]) for r in members if r["gap_pct"] != ""]
         avg["gap_pct"] = f"{np.mean(gaps):.3f}" if gaps else ""

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import model, reduction
+from . import model, pathrelink, reduction
 from .localsearch import SearchState, greedy_construct
 from .pathrelink import ReferenceSet, draw_pair, walk
 from .relaxation import subgradient_method
@@ -213,7 +213,7 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
     r1, r2 = ReferenceSet(), ReferenceSet()
     empty = SearchState(inst, wbar_vec)
     for pool in (r1, r2):
-        for _ in range(pool.capacity):
+        for _ in range(pathrelink.POOL_SIZE):
             pool.add_initial(greedy_construct(empty, rng, uniform=uniform).x)
     del empty  # held neither through the subgradient's peak memory nor by its child
 

@@ -54,6 +54,13 @@ from scipy.sparse._sparsetools import csc_matvec
 
 from .model import coverage_counts
 
+GAIN_FLOOR = 1e-6  # an improving move gains more than this share of |zhat|
+WIDTH = 5  # the greedy picks among the WIDTH best improving columns
+# Negative-gain columns the greedy shortlist keeps (more when ties straddle
+# the cut).  Large enough that a list survives many adds, small enough
+# that re-scoring it on every add costs next to nothing.
+SHORTLIST = 256
+
 
 class SearchState:
     """One working solution plus everything needed to evaluate flips fast.
@@ -234,7 +241,7 @@ def gain_tol(state, zhat=None) -> float:
     break-even-minus-epsilon moves that change nothing.  Integer-weight
     gains are whole numbers and sit far above the floor.
     """
-    return 1e-6 * max(1.0, abs(state.zhat if zhat is None else zhat))
+    return GAIN_FLOOR * max(1.0, abs(state.zhat if zhat is None else zhat))
 
 
 def _descend(state, gains):
@@ -433,7 +440,7 @@ def _scan_screen(state, cand):
     full = np.flatnonzero(np.diff(lost.indptr))
     if full.size:
         low[full] = np.minimum.reduceat(gain, lost.indptr[full])
-    floor = -1e-6 * np.maximum(1.0, np.abs(state.zhat + d1))
+    floor = -GAIN_FLOOR * np.maximum(1.0, np.abs(state.zhat + d1))
     unsure = np.zeros(cand.size, dtype=bool)
     unsure[pos[w <= 0]] = True
     return cand[(low < floor) | unsure]
@@ -530,12 +537,6 @@ def lowest_k(values, k):
     return np.concatenate([strict, tied[: k - strict.size]])
 
 
-# Negative-gain columns the greedy shortlist keeps (more when ties straddle
-# the cut).  Large enough that a list survives many adds, small enough
-# that re-scoring it on every add costs next to nothing.
-SHORTLIST = 256
-
-
 def _shortlist(state, size):
     """Add candidates of the greedy that can still matter, and their bound.
 
@@ -555,12 +556,12 @@ def _shortlist(state, size):
     return cols, tau
 
 
-def greedy_construct(empty, rng, width=5, uniform=False):
+def greedy_construct(empty, rng, uniform=False):
     """Randomized greedy start: noisy add phase, then a clean drop phase.
 
     Builds on a copy of empty, a SearchState at x = 0, which stays as it
     was for the next build.  Adds improving (negative-gain) columns one at
-    a time, picking uniformly among the `width` best candidates (or among
+    a time, picking uniformly among the WIDTH best candidates (or among
     all of them when uniform=True), then removes redundant columns the
     usual way so no selected column has a negative drop gain.  Returns the
     new SearchState.
@@ -571,29 +572,29 @@ def greedy_construct(empty, rng, width=5, uniform=False):
     shrinks.  A column left out of the shortlist (see _shortlist) was at
     or above tau and stays there, so each add re-scores just the list and
     keeps the members still addable and below tau.  While more than
-    `width` are left, the `width` best of all columns are among them in
+    WIDTH are left, the WIDTH best of all columns are among them in
     the same lowest_k order, so the pick and its rng draw equal a full
-    scan's.  With `width` or fewer left the list is rebuilt from a full
-    scan; at exactly `width`, lowest_k would return them in index order,
+    scan's.  With WIDTH or fewer left the list is rebuilt from a full
+    scan; at exactly WIDTH, lowest_k would return them in index order,
     which need not be the full scan's order.  A list with tau = 0 holds
     every negative candidate and needs no rebuild; uniform=True always
     builds it that way.
     """
     state = empty.copy()
-    # a fresh list with tau < 0 has at least `size` > `width` members, so a
+    # a fresh list with tau < 0 has at least `size` > WIDTH members, so a
     # rebuild is never followed by another before the next add
-    size = state.inst.n if uniform else max(SHORTLIST, width + 1)
+    size = state.inst.n if uniform else max(SHORTLIST, WIDTH + 1)
     cols, tau = _shortlist(state, size)
     while True:
         gains = state.delta_up(cols)
         live = (gains < tau) & state.addable(cols)
         cols, gains = cols[live], gains[live]
-        if tau < 0 and cols.size <= width:
+        if tau < 0 and cols.size <= WIDTH:
             cols, tau = _shortlist(state, size)
             continue
         if cols.size == 0:
             break
-        pool = cols if uniform else cols[lowest_k(gains, width)]
+        pool = cols if uniform else cols[lowest_k(gains, WIDTH)]
         state.flip(int(pool[rng.integers(pool.size)]))
     for _ in _descend(state, state.drop_gains):
         pass

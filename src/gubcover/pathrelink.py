@@ -15,23 +15,20 @@ from .localsearch import SearchState
 from .model import solution_key
 
 DRAW_TRIES = 10  # pair draws before draw_pair gives up on a walk
+POOL_SIZE = 10   # members a ReferenceSet holds
 
 
 class ReferenceSet:
-    """Bounded pool of distinct solutions."""
+    """Pool of at most POOL_SIZE distinct solutions."""
 
-    def __init__(self, capacity=10):
-        self.capacity = capacity
+    def __init__(self):
         self.members: list[np.ndarray] = []
         self._keys: set[bytes] = set()
 
-    def __len__(self):
-        return len(self.members)
-
     def add_initial(self, x) -> bool:
-        """Fill phase: append while below capacity, skipping duplicates."""
+        """Fill phase: append while below POOL_SIZE, skipping duplicates."""
         key = solution_key(x)
-        if key in self._keys or len(self.members) >= self.capacity:
+        if key in self._keys or len(self.members) >= POOL_SIZE:
             return False
         self.members.append(np.array(x, dtype=bool))
         self._keys.add(key)
@@ -67,8 +64,8 @@ def draw_pair(r1, r2, exclude_key, evaluate, rng):
     a = b = None
     va = vb = 0.0
     for _ in range(DRAW_TRIES):
-        a = r1.members[int(rng.integers(len(r1)))]
-        b = r2.members[int(rng.integers(len(r2)))]
+        a = r1.members[int(rng.integers(len(r1.members)))]
+        b = r2.members[int(rng.integers(len(r2.members)))]
         va = evaluate(a)
         vb = evaluate(b)
         init, guide = (a, b) if va <= vb else (b, a)

@@ -24,6 +24,7 @@ from .model import Instance, coverage_counts
 from .relaxation import rank_within, reduced_costs
 
 FIX_FRACTION = 0.2  # fixing stops once this share of the rows is covered
+CORE_MULTIPLIER = 10  # the core keeps the CORE_MULTIPLIER * n' best-scored columns
 
 
 def fix_columns(inst, x_star, x_hat, u, rng):
@@ -133,11 +134,11 @@ def pseudo_scores(red: ReducedProblem, u):
     return reduced_costs(red.inst, red.open_rows(u))
 
 
-def build_core(red: ReducedProblem, scores, x_star, x_hat, multiplier=10):
+def build_core(red: ReducedProblem, scores, x_star, x_hat):
     """Column mask the reduced search is allowed to touch.
 
     Union of, all restricted to the free columns: per row, its residual
-    demand's worth of best-scored covering columns; the multiplier * n'
+    demand's worth of best-scored covering columns; the CORE_MULTIPLIER * n'
     best-scored columns overall (n' = free columns of x_hat); and both
     guiding solutions.
     """
@@ -157,7 +158,7 @@ def build_core(red: ReducedProblem, scores, x_star, x_hat, multiplier=10):
             order = np.lexsort((cols, scores[cols]))
             core[cols[order[:bi]]] = True
     pool = np.flatnonzero(free)
-    width = multiplier * int(x_hat.sum())
+    width = CORE_MULTIPLIER * int(x_hat.sum())
     if width >= pool.size:
         core[pool] = True
     elif width > 0:

@@ -105,11 +105,11 @@ def solve_lr(inst, u, rc=None, cols=None):
     return x, value
 
 
-def _build_core(inst, rc, factor):
-    """Column mask keeping the factor * m globally cheapest columns and
+def _build_core(inst, rc):
+    """Column mask keeping the CORE_FACTOR * m globally cheapest columns and
     each block's cap cheapest (rank_within, ties to the lowest index)."""
     n = inst.n
-    size = min(n, factor * inst.m)
+    size = min(n, CORE_FACTOR * inst.m)
     allowed = np.zeros(n, dtype=bool)
     if size >= n:
         allowed[:] = True
@@ -154,7 +154,7 @@ def subgradient_method(inst, ub) -> SubgradientResult:
                 best_lb = value
                 best_u = u.copy()
             if pricing:
-                core_idx = np.flatnonzero(_build_core(inst, rc, CORE_FACTOR))
+                core_idx = np.flatnonzero(_build_core(inst, rc))
                 core_cost = inst.cost[core_idx]
                 core_mat = inst.col_matrix()[core_idx]
             if value >= ub:

@@ -21,6 +21,7 @@ from .model import initial_weights
 
 INCREASE_DELTA = 0.2      # the most violated row's weight grows by this factor
 DECREASE_FRACTION = 0.15  # share of selected columns a decrease makes worth dropping
+WINDOW = 50               # rounds without improvement before wls stops
 
 
 def decrease_factor(state):
@@ -82,17 +83,16 @@ def increase_weights(state):
 class WlsResult:
     x_hat: np.ndarray       # where the search stopped
     x_best: np.ndarray      # best seen under the initial weights
-    zbar_best: float
     w: np.ndarray           # final weight vector
     iterations: int
 
 
-def wls(inst, x0, window=50, one_flip_only=False, deadline=None):
+def wls(inst, x0, one_flip_only=False, deadline=None):
     """Weighted local search from x0: repeat two_fnls, adapting weights in between.
 
     Starts a SearchState at the initial weights, then loops: search,
     compare the best solution the round visited against the incumbent of
-    this call (always under the initial weights), and stop after `window`
+    this call (always under the initial weights), and stop after WINDOW
     rounds without improvement or when the deadline passes.  After each
     round the weights decrease when the round's end state is no better
     than that incumbent, and increase on the violated rows otherwise.
@@ -108,7 +108,7 @@ def wls(inst, x0, window=50, one_flip_only=False, deadline=None):
             fails = 0
         else:
             fails += 1
-        if fails >= window:
+        if fails >= WINDOW:
             break
         if deadline is not None and time.monotonic() >= deadline:
             break
@@ -116,5 +116,5 @@ def wls(inst, x0, window=50, one_flip_only=False, deadline=None):
             decrease_weights(state)
         else:
             increase_weights(state)
-    return WlsResult(x_hat=state.x.copy(), x_best=best_x, zbar_best=best_val,
-                     w=state.w.copy(), iterations=rounds)
+    return WlsResult(x_hat=state.x.copy(), x_best=best_x, w=state.w.copy(),
+                     iterations=rounds)

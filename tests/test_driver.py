@@ -1,7 +1,6 @@
 """End-to-end solver runs on hand-checkable instances."""
 
 import dataclasses
-import functools
 import os
 import subprocess
 import time
@@ -411,7 +410,7 @@ PINNED = {
 @pytest.mark.parametrize("score,seed", sorted(PINNED))
 def test_pinned_runs(score, seed, monkeypatch):
     # frozen with 10 non-improving rounds per search call, not the default 50
-    monkeypatch.setattr(driver, "wls", functools.partial(weighting.wls, window=10))
+    monkeypatch.setattr(weighting, "WINDOW", 10)
     inst, _ = gio.generate(gio.GeneratorParams(rows=60, cols=300, density=0.1,
                                                block_size=10, cap=3, seed=5))
     res = solve_checked(inst, SolverConfig(score=score, seed=seed, max_iterations=4,
@@ -446,7 +445,7 @@ PINNED_OPTIONS = {
 
 @pytest.mark.parametrize("option", sorted(PINNED_OPTIONS))
 def test_pinned_option_runs(option, monkeypatch):
-    monkeypatch.setattr(driver, "wls", functools.partial(weighting.wls, window=10))
+    monkeypatch.setattr(weighting, "WINDOW", 10)
     inst, _ = gio.generate(gio.GeneratorParams(rows=60, cols=300, density=0.1,
                                                block_size=10, cap=3, seed=5))
     value, want = PINNED_OPTIONS[option]

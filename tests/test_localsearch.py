@@ -332,8 +332,8 @@ def test_greedy_shortlist_matches_full_scan(monkeypatch, shortlist):
         uniform = rng.random() < 0.2
         seed = int(rng.integers(1 << 31))
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = ls.greedy_construct(ls.SearchState(inst, w), got_rng, width=width,
-                                  uniform=uniform)
+        monkeypatch.setattr(ls, "WIDTH", width)
+        got = ls.greedy_construct(ls.SearchState(inst, w), got_rng, uniform=uniform)
         ref = full_scan_greedy(inst, w, ref_rng, width, uniform)
         assert np.array_equal(got.x, ref.x)
         assert got_rng.integers(1 << 62) == ref_rng.integers(1 << 62)

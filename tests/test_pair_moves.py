@@ -167,8 +167,12 @@ def test_saturated_screen_matches_argmin_pair(restricted):
     assert checked > 150 and tied > 15
 
 
+@pytest.mark.parametrize("floor", [1e-9, 1e-6, 1e-3])
 @pytest.mark.parametrize("restricted", [False, True])
-def test_scan_screen_keeps_every_improving_candidate(restricted):
+def test_scan_screen_keeps_every_improving_candidate(restricted, floor, monkeypatch):
+    # the screen and gain_tol read one floor, so no setting of it makes the
+    # screen drop a candidate the exact check would accept
+    monkeypatch.setattr(ls, "GAIN_FLOOR", floor)
     rng = np.random.default_rng(126 + restricted)
     kept = dropped = 0
     for _ in range(300):

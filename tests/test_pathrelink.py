@@ -16,18 +16,24 @@ def keyed(*selected_lists, n=4):
     return [as_bool(n, sel) for sel in selected_lists]
 
 
-def test_add_initial_dedupes_and_caps():
-    rs = ReferenceSet(capacity=2)
+@pytest.fixture
+def pool_of_two(monkeypatch):
+    monkeypatch.setattr(pathrelink, "POOL_SIZE", 2)
+    return ReferenceSet()
+
+
+def test_add_initial_dedupes_and_caps(pool_of_two):
+    rs = pool_of_two
     a, b, c = keyed([0], [1], [2])
     assert rs.add_initial(a)
     assert not rs.add_initial(a)  # duplicate
     assert rs.add_initial(b)
     assert not rs.add_initial(c)  # full
-    assert len(rs) == 2
+    assert len(rs.members) == 2
 
 
-def test_update_replaces_worst():
-    rs = ReferenceSet(capacity=2)
+def test_update_replaces_worst(pool_of_two):
+    rs = pool_of_two
     a, b, c = keyed([0], [1], [2])
     rs.add_initial(a)
     rs.add_initial(b)
@@ -37,8 +43,8 @@ def test_update_replaces_worst():
     assert keys == {model.solution_key(a), model.solution_key(c)}
 
 
-def test_update_rejects_worse_and_duplicates():
-    rs = ReferenceSet(capacity=2)
+def test_update_rejects_worse_and_duplicates(pool_of_two):
+    rs = pool_of_two
     a, b, c = keyed([0], [1], [2])
     rs.add_initial(a)
     rs.add_initial(b)
@@ -47,8 +53,8 @@ def test_update_rejects_worse_and_duplicates():
     assert len(rs.members) == 2
 
 
-def test_update_ties_replace():
-    rs = ReferenceSet(capacity=2)
+def test_update_ties_replace(pool_of_two):
+    rs = pool_of_two
     a, b, c = keyed([0], [1], [2])
     rs.add_initial(a)
     rs.add_initial(b)

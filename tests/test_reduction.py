@@ -279,7 +279,7 @@ def test_build_core_empty_solutions_is_row_cover_only(t1):
     assert list(core) == [True, True, False, True]
 
 
-def test_build_core_invariants():
+def test_build_core_invariants(monkeypatch):
     rng = np.random.default_rng(54)
     for _ in range(20):
         inst = random_instance(rng)
@@ -287,13 +287,15 @@ def test_build_core_invariants():
         b = random_gub_feasible(rng, inst)
         scores = rng.uniform(-5, 5, size=inst.n)
         red = reduction.apply_fixing(inst, [])
-        core = reduction.build_core(red, scores, a, b, multiplier=1)
+        monkeypatch.setattr(reduction, "CORE_MULTIPLIER", 1)
+        core = reduction.build_core(red, scores, a, b)
         assert np.all(core[a]) and np.all(core[b])
         for i in range(inst.m):
             covering = inst.row_cols[i]
             need = min(inst.demand[i], len(covering))
             assert core[covering].sum() >= need
-        bigger = reduction.build_core(red, scores, a, b, multiplier=4)
+        monkeypatch.setattr(reduction, "CORE_MULTIPLIER", 4)
+        bigger = reduction.build_core(red, scores, a, b)
         assert np.all(bigger[core])
 
 

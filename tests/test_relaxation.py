@@ -164,7 +164,7 @@ def any_caps(rng, inst):
     return model.Instance.from_columns(inst.cost, inst.col_rows, inst.demand, blocks)
 
 
-def test_rank_rule_matches_block_loops():
+def test_rank_rule_matches_block_loops(monkeypatch):
     rng = np.random.default_rng(26)
     for case in range(200):
         inst = random_instance(rng)
@@ -181,7 +181,8 @@ def test_rank_rule_matches_block_loops():
         x_ref, z_ref = solve_lr_reference(inst, u, rc)
         assert np.array_equal(x, x_ref) and z == z_ref
         factor = int(rng.integers(1, 3))
-        assert np.array_equal(rx._build_core(inst, rc, factor),
+        monkeypatch.setattr(rx, "CORE_FACTOR", factor)
+        assert np.array_equal(rx._build_core(inst, rc),
                               build_core_reference(inst, rc, factor))
 
 

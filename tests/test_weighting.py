@@ -98,7 +98,7 @@ def test_increase_noop_when_feasible(t1):
 def test_wls_t1_finds_optimum(t1):
     res = weighting.wls(t1, np.zeros(t1.n, dtype=bool))
     assert list(np.flatnonzero(res.x_best)) == [1, 2]
-    assert res.zbar_best == 8
+    assert model.penalized_objective(t1, res.x_best, model.initial_weights(t1)) == 8
     assert res.iterations >= 1
 
 
@@ -115,15 +115,18 @@ def test_wls_resets_weights_at_entry(t1, monkeypatch):
     assert np.array_equal(seen[0], model.initial_weights(t1))
 
 
-def test_wls_infeasible_demand_signals(t1):
+def test_wls_infeasible_demand_signals(t1, monkeypatch):
     # row 2 has three covering columns; demanding four is impossible
     inst = Instance.from_columns([4, 3, 5, 1], [[0, 1], [1, 2], [0, 2], [2]],
                                  [1, 1, 4], [(1, [0, 1]), (2, [2, 3])])
-    res = weighting.wls(inst, np.zeros(inst.n, dtype=bool), window=5)
-    assert res.zbar_best > inst.cost.sum()
+    monkeypatch.setattr(weighting, "WINDOW", 5)
+    res = weighting.wls(inst, np.zeros(inst.n, dtype=bool))
+    wbar = model.initial_weights(inst)
+    assert model.penalized_objective(inst, res.x_best, wbar) > inst.cost.sum()
 
 
-def test_wls_never_beaten_by_plain_search():
+def test_wls_never_beaten_by_plain_search(monkeypatch):
+    monkeypatch.setattr(weighting, "WINDOW", 10)
     rng = np.random.default_rng(41)
     for _ in range(15):
         inst = random_instance(rng)
@@ -131,15 +134,16 @@ def test_wls_never_beaten_by_plain_search():
         w = model.initial_weights(inst)
         plain = ls.SearchState(inst, w, x0=x0)
         ls.two_fnls(plain)
-        res = weighting.wls(inst, x0, window=10)
-        assert res.zbar_best <= plain.zbar() + 1e-9
+        res = weighting.wls(inst, x0)
+        assert model.penalized_objective(inst, res.x_best, w) <= plain.zbar() + 1e-9
 
 
-def test_wls_weights_stay_in_bounds():
+def test_wls_weights_stay_in_bounds(monkeypatch):
+    monkeypatch.setattr(weighting, "WINDOW", 8)
     rng = np.random.default_rng(42)
     for _ in range(10):
         inst = random_instance(rng)
-        res = weighting.wls(inst, np.zeros(inst.n, dtype=bool), window=8)
+        res = weighting.wls(inst, np.zeros(inst.n, dtype=bool))
         wbar = inst.cost.sum() + 1
         assert np.all(res.w > 0)
         assert np.all(res.w <= wbar + 1e-9)
