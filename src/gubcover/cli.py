@@ -346,10 +346,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance file")
     p.add_argument("--instance", required=True)
     p.add_argument("--format", choices=gio.FORMATS, default="gub")
-    p.add_argument("--score", choices=SCORE_SCHEMES, default="pseudo")
-    p.add_argument("--time-limit", type=float, default=600.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--neighborhood", choices=("1flip", "2flip"), default="2flip")
+    p.add_argument("--score", choices=SCORE_SCHEMES, default=SolverConfig.score)
+    p.add_argument("--time-limit", type=float, default=SolverConfig.time_limit)
+    p.add_argument("--seed", type=int, default=SolverConfig.seed)
+    p.add_argument("--neighborhood", choices=("1flip", "2flip"),
+                   default=SolverConfig.neighborhood)
     p.add_argument("--no-path-relinking", action="store_true")
     p.add_argument("--uniform-greedy", action="store_true")
     p.add_argument("--target", type=float, default=None,
@@ -364,16 +365,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="benchmark family letter G..N")
     p.add_argument("--type", type=int, choices=(1, 2, 3, 4), default=1)
     p.add_argument("--index", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=gio.GeneratorParams.seed)
     p.add_argument("--rows", type=int, default=None)
     p.add_argument("--cols", type=int, default=None)
     p.add_argument("--density", type=float, default=None)
     p.add_argument("--block-size", type=int, default=None)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--cost-range", type=int, nargs=2, default=(1, 100),
-                   metavar=("LO", "HI"))
-    p.add_argument("--demand-range", type=int, nargs=2, default=(1, 5),
-                   metavar=("LO", "HI"))
+    p.add_argument("--cost-range", type=int, nargs=2, metavar=("LO", "HI"),
+                   default=(gio.GeneratorParams.cost_lo, gio.GeneratorParams.cost_hi))
+    p.add_argument("--demand-range", type=int, nargs=2, metavar=("LO", "HI"),
+                   default=(gio.GeneratorParams.demand_lo, gio.GeneratorParams.demand_hi))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 

@@ -12,13 +12,16 @@ instance.
 Only the lagrangian and normalized scores read the multipliers.  Under
 pseudo and none, when the loop will run at least once, the subgradient
 runs in a forked child while the parent searches, and its result is
-collected before the RunResult is built.  Otherwise it runs inline before
-the loop.  Both give the same result: the child runs the same code on the
-same inputs.
+collected before the RunResult is built; the loop runs inside a `_beside`
+block, which kills and reaps a child not collected when it exits.
+Otherwise it runs inline before the loop.  Both give the same result: the
+child runs the same code on the same inputs.  Each pool scores its own
+members with the function the loop passes to ReferenceSet.update.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -128,17 +131,17 @@ def build_id() -> str:
     return tag
 
 
-def _call(fn, *args, fork):
-    """Run fn(*args), in a forked child when fork is true; return wait().
+@contextlib.contextmanager
+def _beside(fn, *args, fork):
+    """Run fn(*args), in a forked child when fork is true; yield result().
 
-    wait() returns the result.  For a child, the first call reads the
-    child's pickled reply from a pipe to EOF, then reaps it; an exception
-    raised in the child is raised here, and a child that exits without a
-    reply raises RuntimeError with its wait status.  wait(kill=True) kills
-    and reaps a child that has not been waited for; the caller makes that
-    call in a finally, so no exit path leaves the child running.  fn runs
-    here and now when fork is false, os.fork is missing or it raises
-    OSError.
+    result() returns fn's result.  For a child, the first call reads the
+    child's pickled reply from a pipe to EOF, then reaps it, and later calls
+    return the same object or raise the same exception: the one raised in
+    the child, or RuntimeError with the wait status of a child that exits
+    without a reply.  A child not reaped when the block exits, by any path,
+    is killed and reaped.  fn runs here and now when fork is false, os.fork
+    is missing or it raises OSError.
     """
     pid = None
     if fork and hasattr(os, "fork"):
@@ -150,7 +153,8 @@ def _call(fn, *args, fork):
             os.close(w)
     if pid is None:
         done = fn(*args)
-        return lambda kill=False: done
+        yield lambda: done
+        return
     if pid == 0:  # the child never returns into the caller's code
         status = 1
         try:
@@ -165,35 +169,28 @@ def _call(fn, *args, fork):
         finally:
             os._exit(status)
     os.close(w)
-    reader = open(r, "rb")
-    result = None
+    got = []
 
-    def wait(kill=False):
-        nonlocal pid, result
-        if pid is None:
-            return result
-        reply = None
-        try:
-            if not kill:
-                reply = reader.read()
-        finally:
-            reader.close()
-            if reply is None:
-                os.kill(pid, signal.SIGKILL)
+    def result():
+        nonlocal pid
+        if not got:
+            reply = reader.read()
             status = os.waitpid(pid, 0)[1]
             pid = None
-        if reply is None:
-            return None
-        if not reply:
-            raise RuntimeError(f"{fn.__name__} child exited without a result "
-                               f"(wait status {status})")
-        ok, value = pickle.loads(reply)
+            got.append(pickle.loads(reply) if reply else (False, RuntimeError(
+                f"{fn.__name__} child exited without a result (wait status {status})")))
+        ok, value = got[0]
         if not ok:
             raise value
-        result = value
-        return result
+        return value
 
-    return wait
+    with open(r, "rb") as reader:
+        try:
+            yield result
+        finally:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def solve(inst, config: SolverConfig | None = None) -> RunResult:
@@ -217,14 +214,13 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
             pool.add_initial(greedy_construct(empty, rng, uniform=uniform).x)
     del empty  # held neither through the subgradient's peak memory nor by its child
 
-    x_hat = None
-    star_val = np.inf
-    for member in r1.members + r2.members:
-        v = model.penalized_objective(inst, member, wbar_vec)
-        if v < star_val:
-            star_val = v
-            x_hat = member
-    x_hat = x_hat.copy()
+    def zbar(x):
+        return model.penalized_objective(inst, x, wbar_vec)
+
+    members = r1.members + r2.members  # the first least value, R1 before R2
+    values = [zbar(member) for member in members]
+    best = int(np.argmin(values))
+    star_val, x_hat = values[best], members[best].copy()
     x_star = x_hat.copy()
     timeline = [(0, star_val, time.monotonic() - t0)]
 
@@ -245,9 +241,8 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
 
     # the search reads the multipliers only under the lagrangian and
     # normalized scores; otherwise the bound is computed beside it
-    bound = _call(subgradient_method, inst, star_val,
-                  fork=cfg.score in ("pseudo", "none") and not finished())
-    try:
+    with _beside(subgradient_method, inst, star_val,
+                 fork=cfg.score in ("pseudo", "none") and not finished()) as bound:
         while not finished():
             outer += 1
             if cfg.score != "none":
@@ -271,7 +266,7 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
             # back to full width: sub column j is column cols[j], fixed ones stay in
             x_hat, x_best = fixed_mask.copy(), fixed_mask.copy()
             x_hat[cols], x_best[cols] = wres.x_hat, wres.x_best
-            v = model.penalized_objective(inst, x_best, wbar_vec)
+            v = zbar(x_best)
             if v < star_val:
                 star_val = v
                 x_star = x_best.copy()
@@ -281,9 +276,8 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
                 def weval(x):
                     return model.penalized_objective(inst, x, w_cur)
 
-                r1.update(x_hat, weval(x_hat), [weval(mm) for mm in r1.members])
-                r2.update(x_best, v, [model.penalized_objective(inst, mm, wbar_vec)
-                                      for mm in r2.members])
+                r1.update(x_hat, weval)
+                r2.update(x_best, zbar)
                 init, guide, fallback = draw_pair(r1, r2, model.solution_key(x_hat),
                                                   weval, rng)
                 if fallback is not None:
@@ -293,8 +287,6 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
                     x_hat = walk(inst, w_cur, init, guide)
 
         sres = bound()
-    finally:
-        bound(kill=True)  # a no-op once the result is in
 
     elapsed = time.monotonic() - t0
     feasible = model.is_feasible(inst, x_star)

@@ -34,18 +34,19 @@ class ReferenceSet:
         self._keys.add(key)
         return True
 
-    def update(self, x, value, values) -> bool:
+    def update(self, x, evaluate) -> bool:
         """Swap out the worst member for x when x is no worse and new.
 
-        `values` are the members' evaluations under the caller's current
-        objective; they are supplied fresh on every call because the
-        weight vector they depend on keeps moving.
+        `evaluate` scores x and the members under the caller's current
+        objective; it is passed on every call because the weights it reads
+        keep moving.
         """
         key = solution_key(x)
         if key in self._keys or not self.members:
             return False
+        values = [evaluate(m) for m in self.members]
         worst = int(np.argmax(values))
-        if value > values[worst]:
+        if evaluate(x) > values[worst]:
             return False
         self._keys.discard(solution_key(self.members[worst]))
         self.members[worst] = np.array(x, dtype=bool)
@@ -85,13 +86,13 @@ def walk(inst, w, init, guide) -> np.ndarray:
     coordinate is blocked, or at the guide itself.
     """
     state = SearchState(inst, w, x0=init)
-    guide = np.asarray(guide, dtype=bool)
-    while True:
-        diff = np.flatnonzero(state.x != guide)
-        if diff.size == 0:
-            return state.x.copy()
-        gains = np.where(state.x, state.drop_gains(), state.add_gains())[diff]
+    diff = np.flatnonzero(state.x != np.asarray(guide, dtype=bool))  # ascending
+    while diff.size:
+        gains = np.where(state.x[diff], state.delta_down(diff),
+                         np.where(state.addable(diff), state.delta_up(diff), np.inf))
         pos = int(np.argmin(gains))
         if not gains[pos] < 0:
-            return state.x.copy()
+            break
         state.flip(int(diff[pos]))
+        diff = np.delete(diff, pos)
+    return state.x.copy()

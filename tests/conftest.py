@@ -8,6 +8,7 @@ make an instance infeasible, which several tests rely on.
 """
 
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -31,6 +32,15 @@ def build_t1() -> Instance:
         demand=[1, 1, 2],
         blocks=[(1, [0, 1]), (2, [2, 3])],
     )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test reaps the processes it forks (the solver's bound child
+    included) before it ends."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -152,6 +152,23 @@ def test_solve_flags_set_every_config_field():
         assert getattr(cfg, field.name) != getattr(default, field.name), field.name
 
 
+def test_bare_flags_parse_to_the_dataclass_defaults(tmp_path, monkeypatch):
+    args = cli._build_parser().parse_args(["solve", "--instance", "f"])
+    assert cli._solve_config(args) == SolverConfig()
+
+    made, generate = [], gio.generate
+
+    def recorded(params):
+        made.append(params)
+        return generate(params)
+
+    monkeypatch.setattr(gio, "generate", recorded)
+    rc = cli.main(["generate", "--rows", "12", "--cols", "24", "--density", "0.3",
+                   "--block-size", "6", "--cap", "3", "--out", str(tmp_path / "x.gub")])
+    assert rc == 0
+    assert made == [gio.GeneratorParams(rows=12, cols=24, density=0.3, block_size=6, cap=3)]
+
+
 def test_solve_rejects_bad_config(t1_file, capsys):
     rc = cli.main(["solve", "--instance", t1_file, "--time-limit", "-1"])
     assert rc == 1

@@ -32,13 +32,20 @@ def test_add_initial_dedupes_and_caps(pool_of_two):
     assert len(rs.members) == 2
 
 
+def table(*pairs):
+    """An evaluate for update and draw_pair: each solution's value, keyed by
+    solution_key."""
+    values = {model.solution_key(x): v for x, v in pairs}
+    return lambda x: values[model.solution_key(x)]
+
+
 def test_update_replaces_worst(pool_of_two):
     rs = pool_of_two
     a, b, c = keyed([0], [1], [2])
     rs.add_initial(a)
     rs.add_initial(b)
     # a scores 10, b scores 12; an 11 candidate displaces b
-    assert rs.update(c, 11.0, [10.0, 12.0])
+    assert rs.update(c, table((a, 10.0), (b, 12.0), (c, 11.0)))
     keys = {model.solution_key(m) for m in rs.members}
     assert keys == {model.solution_key(a), model.solution_key(c)}
 
@@ -48,8 +55,8 @@ def test_update_rejects_worse_and_duplicates(pool_of_two):
     a, b, c = keyed([0], [1], [2])
     rs.add_initial(a)
     rs.add_initial(b)
-    assert not rs.update(c, 13.0, [10.0, 12.0])  # worse than the worst
-    assert not rs.update(a, 1.0, [10.0, 12.0])   # already a member
+    assert not rs.update(c, table((a, 10.0), (b, 12.0), (c, 13.0)))  # worse than the worst
+    assert not rs.update(a, table((a, 1.0), (b, 12.0)))  # already a member
     assert len(rs.members) == 2
 
 
@@ -58,7 +65,7 @@ def test_update_ties_replace(pool_of_two):
     a, b, c = keyed([0], [1], [2])
     rs.add_initial(a)
     rs.add_initial(b)
-    assert rs.update(c, 12.0, [10.0, 12.0])  # no worse than the worst
+    assert rs.update(c, table((a, 10.0), (b, 12.0), (c, 12.0)))  # no worse than the worst
 
 
 def test_draw_pair_orients_by_value():
@@ -66,10 +73,8 @@ def test_draw_pair_orients_by_value():
     a, b = keyed([0], [1])
     rs1.add_initial(a)
     rs2.add_initial(b)
-    values = {model.solution_key(a): 5.0, model.solution_key(b): 3.0}
     init, guide, fallback = pathrelink.draw_pair(
-        rs1, rs2, b"nope", lambda x: values[model.solution_key(x)],
-        np.random.default_rng(0))
+        rs1, rs2, b"nope", table((a, 5.0), (b, 3.0)), np.random.default_rng(0))
     assert fallback is None
     assert model.solution_key(init) == model.solution_key(b)
     assert model.solution_key(guide) == model.solution_key(a)
@@ -80,10 +85,9 @@ def test_draw_pair_fallback_after_exclusion():
     a, b = keyed([0], [1])
     rs1.add_initial(a)
     rs2.add_initial(b)
-    values = {model.solution_key(a): 5.0, model.solution_key(b): 3.0}
     init, guide, fallback = pathrelink.draw_pair(
-        rs1, rs2, model.solution_key(b),
-        lambda x: values[model.solution_key(x)], np.random.default_rng(0))
+        rs1, rs2, model.solution_key(b), table((a, 5.0), (b, 3.0)),
+        np.random.default_rng(0))
     assert init is None and guide is None
     assert model.solution_key(fallback) == model.solution_key(b)
 
