@@ -2,9 +2,11 @@
 
 Subcommands: solve an instance file, generate benchmark-style instances,
 check a solution file against an instance, and bench a directory of
-instances over a config grid into a CSV.  Exit codes: 0 success/feasible,
-1 bad input or usage, 2 the run (or checked solution) ended without
-feasibility.
+instances over a config grid into a CSV.  One table, CLASSES, describes
+the benchmark families G-N: generate --class reads their shapes and bench
+their default time limits.  solve, check and bench read instance files
+through io.read_instance.  Exit codes: 0 success/feasible, 1 bad input or
+usage, 2 the run (or checked solution) ended without feasibility.
 """
 
 from __future__ import annotations
@@ -24,32 +26,19 @@ import numpy as np
 
 from . import io as gio
 from . import model
-from .driver import SCORE_SCHEMES, RunResult, SolverConfig, build_id, solve
+from .driver import SCORE_SCHEMES, SolverConfig, build_id, solve
 
-# benchmark families: class -> (rows, cols, density); type -> (cap, block size)
-CLASS_SHAPES = {
-    "G": (1000, 10000, 0.02),
-    "H": (1000, 10000, 0.05),
-    "I": (1000, 50000, 0.01),
-    "J": (1000, 100000, 0.01),
-    "K": (2000, 100000, 0.005),
-    "L": (2000, 200000, 0.005),
-    "M": (5000, 500000, 0.0025),
-    "N": (5000, 1000000, 0.0025),
-}
-CLASS_BLOCKS = {
-    "G": {1: (1, 10), 2: (10, 100), 3: (5, 10), 4: (50, 100)},
-    "H": {1: (1, 10), 2: (10, 100), 3: (5, 50), 4: (50, 100)},
-    "I": {1: (1, 50), 2: (10, 500), 3: (5, 50), 4: (50, 500)},
-    "J": {1: (1, 50), 2: (10, 500), 3: (5, 50), 4: (50, 500)},
-    "K": {1: (1, 50), 2: (10, 500), 3: (5, 50), 4: (50, 500)},
-    "L": {1: (1, 50), 2: (10, 500), 3: (5, 50), 4: (50, 500)},
-    "M": {1: (1, 50), 2: (10, 500), 3: (5, 50), 4: (50, 500)},
-    "N": {1: (1, 100), 2: (10, 1000), 3: (5, 100), 4: (50, 1000)},
-}
-CLASS_TIME_LIMITS = {
-    "G": 600, "H": 600, "I": 600, "J": 600,
-    "K": 1200, "L": 1200, "M": 3000, "N": 3000,
+# benchmark families: class -> (rows, cols, density, bench time limit in
+# seconds, (cap, block size) of types 1-4)
+CLASSES = {
+    "G": (1000, 10000, 0.02, 600, ((1, 10), (10, 100), (5, 10), (50, 100))),
+    "H": (1000, 10000, 0.05, 600, ((1, 10), (10, 100), (5, 50), (50, 100))),
+    "I": (1000, 50000, 0.01, 600, ((1, 50), (10, 500), (5, 50), (50, 500))),
+    "J": (1000, 100000, 0.01, 600, ((1, 50), (10, 500), (5, 50), (50, 500))),
+    "K": (2000, 100000, 0.005, 1200, ((1, 50), (10, 500), (5, 50), (50, 500))),
+    "L": (2000, 200000, 0.005, 1200, ((1, 50), (10, 500), (5, 50), (50, 500))),
+    "M": (5000, 500000, 0.0025, 3000, ((1, 50), (10, 500), (5, 50), (50, 500))),
+    "N": (5000, 1000000, 0.0025, 3000, ((1, 100), (10, 1000), (5, 100), (50, 1000))),
 }
 
 
@@ -125,12 +114,12 @@ def cmd_solve(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.klass:
-        if args.klass not in CLASS_SHAPES:
+        if args.klass not in CLASSES:
             return _fail(f"unknown class {args.klass!r}")
         if args.seed < 0 or args.index < 0:
             return _fail("--seed and --index must be non-negative")
-        rows, cols, density = CLASS_SHAPES[args.klass]
-        cap, block = CLASS_BLOCKS[args.klass][args.type]
+        rows, cols, density, _, types = CLASSES[args.klass]
+        cap, block = types[args.type - 1]
         # each (class, type, index, seed) combination gets its own stream
         mix = np.random.SeedSequence(
             [args.seed, ord(args.klass), args.type, args.index]
@@ -209,7 +198,7 @@ def _family(path) -> tuple[int, str]:
     if family is None:
         return 600, stem
     letter = family[1].upper()
-    return CLASS_TIME_LIMITS[letter], letter + stem[1:]
+    return CLASSES[letter][3], letter + stem[1:]
 
 
 def _bench_one(task):

@@ -5,9 +5,9 @@ one subgradient run gives the lower bound and the multipliers, then until
 the deadline: fix agreed columns, carve out a scored core, run the
 weighted local search on the core compacted into a sub-instance (residual
 demands and caps, the core columns only), map its solutions back to full
-width with the fixed columns added, refresh the pools and relink a new
-starting point.  The incumbent is always re-evaluated on the original
-instance.
+width with the fixed columns added and, when another iteration follows,
+refresh the pools and relink its starting point.  The incumbent is always
+re-evaluated on the original instance.
 
 Only the lagrangian and normalized scores read the multipliers.  Under
 pseudo and none, when the loop will run at least once, the subgradient
@@ -272,7 +272,7 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
                 x_star = x_best.copy()
                 timeline.append((outer, star_val, time.monotonic() - t0))
 
-            if cfg.path_relinking:
+            if cfg.path_relinking and not finished():
                 def weval(x):
                     return model.penalized_objective(inst, x, w_cur)
 

@@ -1,7 +1,7 @@
 """Instance file formats, the random instance generator, and run output.
 
-Three input formats are understood, all whitespace-token streams and all
-transparently gzip-decompressed for .gz paths:
+read_instance(path, fmt) reads all three input formats.  Each is a
+whitespace-token stream, transparently gzip-decompressed for a .gz path:
 
 * native ("gub"): header "m n k", then n costs, m demands, m row lines
   ("count idx..." with 1-based column indices), and k block lines
@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import gzip
 import json
+import os
 import re
 from dataclasses import asdict, dataclass, fields
 
@@ -291,28 +292,18 @@ def _scp_instance(cost, m, rows, cols) -> Instance:
                     np.ones(n, dtype=np.int64), np.arange(n), np.arange(n))
 
 
-def read_gub(path) -> Instance:
-    """Read a native .gub file (see the module docstring); FormatError if malformed."""
-    return Instance(*_parse_gub(_Cursor(path)))
-
-
-def read_orlib_scp(path) -> Instance:
-    """Read an OR-Library set covering file; FormatError if malformed."""
-    return _scp_instance(*_parse_orlib(_Cursor(path)))
-
-
-def read_rail(path) -> Instance:
-    """Read a column-major RAIL file; FormatError if malformed."""
-    return _scp_instance(*_parse_rail(_Cursor(path)))
-
-
-_READERS = {"gub": read_gub, "orlib": read_orlib_scp, "rail": read_rail}
-
-
 def read_instance(path, fmt="gub") -> Instance:
-    if fmt not in _READERS:
+    """Read an instance file in format fmt (see the module docstring);
+    FormatError if it is malformed, ValueError for an unknown fmt."""
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    return _READERS[fmt](path)
+    # the cursor stays a temporary: its token array is freed before the
+    # instance is built
+    if fmt == "gub":
+        return Instance(*_parse_gub(_Cursor(path)))
+    if fmt == "orlib":
+        return _scp_instance(*_parse_orlib(_Cursor(path)))
+    return _scp_instance(*_parse_rail(_Cursor(path)))
 
 
 def write_gub(inst: Instance, path):
@@ -463,27 +454,21 @@ def write_result_json(result, path, instance_name=None):
         fh.write(text)
 
 
-def result_csv_row(result, instance_name="") -> dict:
-    return {
-        "instance": str(instance_name),
-        "scheme": result.config["score"],
-        "seed": result.seed,
-        "objective": result.objective,
-        "feasible": int(result.feasible),
-        "penalized": result.penalized,
-        "lower_bound": result.lower_bound,
-        "iterations": result.iterations,
-        "elapsed": f"{result.elapsed:.3f}",
-        "build": result.build,
-    }
-
-
 def append_result_csv(result, path, instance_name=""):
-    import os
-
     new = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_CSV_FIELDS)
         if new:
             writer.writeheader()
-        writer.writerow(result_csv_row(result, instance_name))
+        writer.writerow({
+            "instance": str(instance_name),
+            "scheme": result.config["score"],
+            "seed": result.seed,
+            "objective": result.objective,
+            "feasible": int(result.feasible),
+            "penalized": result.penalized,
+            "lower_bound": result.lower_bound,
+            "iterations": result.iterations,
+            "elapsed": f"{result.elapsed:.3f}",
+            "build": result.build,
+        })

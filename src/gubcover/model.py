@@ -118,11 +118,6 @@ class Csr:
         """int64[len(ind)]: the list each entry belongs to."""
         return np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.ptr))
 
-    def __eq__(self, other):
-        if not isinstance(other, Csr):
-            return NotImplemented
-        return np.array_equal(self.ptr, other.ptr) and np.array_equal(self.ind, other.ind)
-
 
 class Instance:
     """Immutable problem instance, built from coordinate lists.
@@ -238,20 +233,6 @@ class Instance:
 
     def density(self) -> float:
         return self.nnz / float(self.m * self.n) if self.m and self.n else 0.0
-
-    def __eq__(self, other):
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (
-            self.m == other.m
-            and self.n == other.n
-            and self.k == other.k
-            and np.array_equal(self.cost, other.cost)
-            and np.array_equal(self.demand, other.demand)
-            and np.array_equal(self.cap, other.cap)
-            and self.col_rows == other.col_rows
-            and self.block_cols == other.block_cols
-        )
 
     def __repr__(self):
         return f"Instance(m={self.m}, n={self.n}, k={self.k}, nnz={self.nnz})"

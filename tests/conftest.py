@@ -7,8 +7,11 @@ the multicover side is satisfiable on its own; the block caps may still
 make an instance infeasible, which several tests rely on.
 """
 
+import glob
 import itertools
 import os
+import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,15 +40,47 @@ def build_t1() -> Instance:
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Every test reaps the processes it forks (the solver's bound child
-    included) before it ends."""
+    included) before it ends.
+
+    A child left over fails the test that left it: it is killed and reaped
+    here, so later tests start with none.  Where /proc does not list a
+    process's children, the check only finds that some child is left.
+    """
     yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    lists = glob.glob("/proc/self/task/*/children")
+    if not lists:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return
+    pids = sorted({int(pid) for path in lists for pid in Path(path).read_text().split()})
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    if pids:
+        pytest.fail(f"child processes left running: {pids}")
 
 
 @pytest.fixture
 def t1() -> Instance:
     return build_t1()
+
+
+def assert_same_instance(a, b):
+    """Field by field, adjacency views and coverage matrix included.
+
+    Instances have no value equality; this is how tests compare two.
+    """
+    assert (a.m, a.n, a.k, a.nnz, a.wbar) == (b.m, b.n, b.k, b.nnz, b.wbar)
+    for name in ("cost", "demand", "cap", "block_of"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for name in ("col_rows", "row_cols", "block_cols"):
+        xs, ys = getattr(a, name), getattr(b, name)
+        assert len(xs) == len(ys), name
+        for x, y in zip(xs, ys):
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+    ma, mb = a.matrix(), b.matrix()
+    assert ma.dtype == mb.dtype and (ma != mb).nnz == 0
 
 
 def solve_checked(inst, cfg):

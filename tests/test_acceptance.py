@@ -290,7 +290,7 @@ def _scp_runs(directory, budget, max_iterations=None):
     assert paths, "no scpg* files found"
     values, bounds = [], []
     for path in paths:
-        inst = gio.read_orlib_scp(path)
+        inst = gio.read_instance(path, "orlib")
         res = solve_checked(inst, SolverConfig(score="pseudo", time_limit=budget, seed=0,
                                                max_iterations=max_iterations))
         assert res.feasible

@@ -261,7 +261,7 @@ def test_generate_class_family(tmp_path, capsys):
     rc = cli.main(["generate", "--class", "G", "--type", "1",
                    "--out", str(out)])
     assert rc == 0
-    inst = gio.read_gub(out)
+    inst = gio.read_instance(out, "gub")
     assert (inst.m, inst.n, inst.k) == (1000, 10000, 1000)
     assert np.all(inst.cap == 1)
     assert np.all(np.diff(inst.cost) >= 0)
@@ -269,6 +269,56 @@ def test_generate_class_family(tmp_path, capsys):
     # to the generator's draws or to the writer must not go unnoticed
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "f8d12f6e01d13097b3012db7300c02ab52bea972a1daa8c3d7d6fbeab16ddaee"
+
+
+# the G-N families, written out apart from cli.CLASSES so that a mistyped
+# entry there shows: class -> (rows, cols, density); class -> type ->
+# (cap, block size); class -> bench time limit
+FAMILY_SHAPES = {
+    "G": (1000, 10000, 0.02),
+    "H": (1000, 10000, 0.05),
+    "I": (1000, 50000, 0.01),
+    "J": (1000, 100000, 0.01),
+    "K": (2000, 100000, 0.005),
+    "L": (2000, 200000, 0.005),
+    "M": (5000, 500000, 0.0025),
+    "N": (5000, 1000000, 0.0025),
+}
+FAMILY_BLOCKS = {
+    "G": {1: (1, 10), 2: (10, 100), 3: (5, 10), 4: (50, 100)},
+    "H": {1: (1, 10), 2: (10, 100), 3: (5, 50), 4: (50, 100)},
+    "I": {1: (1, 50), 2: (10, 500), 3: (5, 50), 4: (50, 500)},
+    "J": {1: (1, 50), 2: (10, 500), 3: (5, 50), 4: (50, 500)},
+    "K": {1: (1, 50), 2: (10, 500), 3: (5, 50), 4: (50, 500)},
+    "L": {1: (1, 50), 2: (10, 500), 3: (5, 50), 4: (50, 500)},
+    "M": {1: (1, 50), 2: (10, 500), 3: (5, 50), 4: (50, 500)},
+    "N": {1: (1, 100), 2: (10, 1000), 3: (5, 100), 4: (50, 1000)},
+}
+FAMILY_TIME_LIMITS = {
+    "G": 600, "H": 600, "I": 600, "J": 600,
+    "K": 1200, "L": 1200, "M": 3000, "N": 3000,
+}
+
+
+class _Params(Exception):
+    """Raised in place of generating, carrying the GeneratorParams."""
+
+
+@pytest.mark.parametrize("klass", sorted(FAMILY_SHAPES))
+def test_generate_class_builds_the_family_shape(tmp_path, monkeypatch, klass):
+    def capture(params):
+        raise _Params(params)
+
+    monkeypatch.setattr(gio, "generate", capture)
+    rows, cols, density = FAMILY_SHAPES[klass]
+    for kind, (cap, block) in FAMILY_BLOCKS[klass].items():
+        with pytest.raises(_Params) as made:
+            cli.main(["generate", "--class", klass, "--type", str(kind),
+                      "--out", str(tmp_path / "x.gub")])
+        p = made.value.args[0]
+        assert (p.rows, p.cols, p.density, p.block_size, p.cap) == (
+            rows, cols, density, block, cap), kind
+    assert cli._family(f"{klass}1.gub") == (FAMILY_TIME_LIMITS[klass], f"{klass}1")
 
 
 def test_generate_manual_params(tmp_path, capsys):
@@ -279,7 +329,7 @@ def test_generate_manual_params(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert rc == 0
     assert "wrote" in printed and "density:" in printed
-    inst = gio.read_gub(out)
+    inst = gio.read_instance(out, "gub")
     assert (inst.m, inst.n, inst.k) == (12, 24, 4)
 
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from gubcover import driver, model, relaxation, weighting
+from gubcover import driver, model, pathrelink, relaxation, weighting
 from gubcover import io as gio
 from gubcover.driver import SolverConfig
 from gubcover.model import Instance, as_bool
@@ -282,6 +282,26 @@ def test_solve_without_fork_gives_the_same_result(t1, monkeypatch, how):
     else:
         monkeypatch.delattr(os, "fork")
     assert _without_seconds(solve_checked(t1, quick())) == want
+
+
+def test_no_relink_after_the_last_iteration(monkeypatch):
+    # a relink makes the next iteration's start point, so the last
+    # iteration makes none
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return pathrelink.walk(*args)
+
+    monkeypatch.setattr(driver, "walk", counted)
+    inst, _ = gio.generate(gio.GeneratorParams(rows=60, cols=300, density=0.1,
+                                               block_size=10, cap=3, seed=5))
+    for iterations in (1, 2):
+        walks.clear()
+        res = solve_checked(inst, SolverConfig(seed=0, max_iterations=iterations,
+                                               time_limit=1e6))
+        assert res.relink_fallbacks == 0
+        assert len(walks) == iterations - 1
 
 
 def test_small_random_instances_reach_optimum():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from gubcover.model import Instance
 
 import generator_reference
 import reader_reference
-from conftest import build_t1, random_instance
+from conftest import assert_same_instance, build_t1, random_instance
 
 T1_ORLIB = """\
 3 4
@@ -40,8 +41,8 @@ T1_RAIL = """\
 def test_native_round_trip(tmp_path, t1):
     path = tmp_path / "t1.gub"
     gio.write_gub(t1, path)
-    again = gio.read_gub(path)
-    assert again == t1
+    again = gio.read_instance(path, "gub")
+    assert_same_instance(again, t1)
     twice = tmp_path / "t1b.gub"
     gio.write_gub(again, twice)
     assert path.read_bytes() == twice.read_bytes()
@@ -53,7 +54,7 @@ def test_native_round_trip_random(tmp_path):
         inst = random_instance(rng)
         path = tmp_path / f"r{i}.gub"
         gio.write_gub(inst, path)
-        assert gio.read_gub(path) == inst
+        assert_same_instance(gio.read_instance(path, "gub"), inst)
 
 
 def test_gzip_transparent(tmp_path, t1):
@@ -62,7 +63,38 @@ def test_gzip_transparent(tmp_path, t1):
     zipped = tmp_path / "t1.gub.gz"
     with gzip.open(zipped, "wt") as fh:
         fh.write(plain.read_text())
-    assert gio.read_instance(zipped, "gub") == t1
+    assert_same_instance(gio.read_instance(zipped, "gub"), t1)
+
+
+@pytest.mark.parametrize("fmt", gio.FORMATS)
+def test_reader_frees_the_tokens_before_building(tmp_path, t1, monkeypatch, fmt):
+    # a cursor holds the whole file as int64 tokens; alive while the
+    # instance is built, it would add its size to the peak memory
+    path = tmp_path / "t1.txt"
+    if fmt == "gub":
+        gio.write_gub(t1, path)
+    else:
+        path.write_text(T1_ORLIB if fmt == "orlib" else T1_RAIL)
+    cursors, alive, cursor = weakref.WeakSet(), [], gio._Cursor
+
+    def tracked(path):
+        cursors.add(cur := cursor(path))
+        return cur
+
+    def build(*args):
+        alive.append(len(cursors))
+        return Instance(*args)
+
+    monkeypatch.setattr(gio, "_Cursor", tracked)
+    monkeypatch.setattr(gio, "Instance", build)
+    gio.read_instance(path, fmt)
+    assert alive == [0]
+
+
+def test_read_instance_rejects_unknown_format(tmp_path):
+    # checked before the file is opened
+    with pytest.raises(ValueError, match="unknown format 'mps'"):
+        gio.read_instance(tmp_path / "missing.mps", "mps")
 
 
 def test_orlib_parse(tmp_path):
@@ -105,7 +137,7 @@ def test_empty_file_error(tmp_path):
     path = tmp_path / "empty.gub"
     path.write_text("")
     with pytest.raises(FormatError, match="line 0"):
-        gio.read_gub(path)
+        gio.read_instance(path, "gub")
 
 
 def test_index_out_of_range_error(tmp_path):
@@ -127,7 +159,7 @@ def test_trailing_data_error(tmp_path, t1):
     gio.write_gub(t1, path)
     path.write_text(path.read_text() + "\n99\n")
     with pytest.raises(FormatError, match="trailing"):
-        gio.read_gub(path)
+        gio.read_instance(path, "gub")
 
 
 def test_parse_solution(tmp_path):
@@ -248,7 +280,9 @@ def test_generator_takes_numpy_scalars_as_plain_values():
     assert all(type(getattr(p, f)) is int for f in ("rows", "cols", "block_size", "cap", "seed"))
     assert type(p.density) is float
     plain = GeneratorParams(rows=10, cols=100, density=0.125, block_size=10, cap=2, seed=4)
-    assert gio.generate(p) == gio.generate(plain)
+    (inst, stats), (want, want_stats) = gio.generate(p), gio.generate(plain)
+    assert_same_instance(inst, want)
+    assert stats == want_stats
     # numpy products wrap: the int64 bound must be checked on Python ints
     with pytest.raises(ValueError, match="must fit in int64"):
         GeneratorParams(rows=10, cols=np.int64(100), density=0.1, block_size=10,
@@ -280,7 +314,7 @@ def test_generator_matches_list_reference():
     for p in draws:
         inst, stats = gio.generate(p)
         ref, ref_stats = generator_reference.generate_by_lists(p)
-        assert inst == ref, p
+        assert_same_instance(inst, ref)
         assert stats == ref_stats, p
         repairs += [stats["empty_column_repairs"], stats["row_coverage_repairs"]]
     # both repairs draw from the stream, so both must be exercised
@@ -319,21 +353,6 @@ def test_result_json_leaves_no_partial_file(tmp_path):
 
 
 # -- array readers: equality with from_columns, and malformed input ----------
-
-
-def assert_same_instance(a, b):
-    """Field by field, adjacency views and coverage matrix included."""
-    assert (a.m, a.n, a.k, a.nnz, a.wbar) == (b.m, b.n, b.k, b.nnz, b.wbar)
-    for name in ("cost", "demand", "cap", "block_of"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
-    for name in ("col_rows", "row_cols", "block_cols"):
-        xs, ys = getattr(a, name), getattr(b, name)
-        assert len(xs) == len(ys), name
-        for x, y in zip(xs, ys):
-            assert x.dtype == y.dtype and np.array_equal(x, y), name
-    ma, mb = a.matrix(), b.matrix()
-    assert ma.dtype == mb.dtype and (ma != mb).nnz == 0
 
 
 @st.composite
@@ -423,7 +442,7 @@ def test_gub_reader_sorts_and_dedups(tmp_path):
     # written backwards and repeats a member
     path = tmp_path / "messy.gub"
     path.write_text("2 4 2\n5 6 7 8\n1 2\n2 2 1\n3 4 3 3\n1 3 2 1 2\n2 2 4 3\n")
-    inst = gio.read_gub(path)
+    inst = gio.read_instance(path, "gub")
     assert [list(r) for r in inst.row_cols] == [[0, 1], [2, 3]]
     assert [list(r) for r in inst.col_rows] == [[0], [0], [1], [1]]
     assert [list(b) for b in inst.block_cols] == [[0, 1], [2, 3]]
@@ -449,7 +468,7 @@ def test_gub_column_in_two_blocks_error(tmp_path):
     path = tmp_path / "twice.gub"
     path.write_text("1 2 2\n1 1\n1\n2 1 2\n1 2 1 2\n1 1 2\n")
     with pytest.raises(FormatError, match="column 2 appears in 2 blocks"):
-        gio.read_gub(path)
+        gio.read_instance(path, "gub")
 
 
 @pytest.mark.parametrize("field,line", [("cost", 2), ("demand", 3), ("cap", 7)])
@@ -462,7 +481,7 @@ def test_oversized_integer_error(tmp_path, t1, field, line):
     lines[line - 1] = " ".join(words)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match=f"line {line}: {field} .* out of range"):
-        gio.read_gub(path)
+        gio.read_instance(path, "gub")
 
 
 @pytest.mark.parametrize("line,word,field", [
@@ -478,14 +497,14 @@ def test_negative_field_error(tmp_path, t1, line, word, field):
     lines[line - 1][word] = "-1"
     path.write_text("\n".join(" ".join(words) for words in lines) + "\n")
     with pytest.raises(FormatError, match=f"^line {line}: {field} -1 out of range$"):
-        gio.read_gub(path)
+        gio.read_instance(path, "gub")
 
 
 def test_huge_count_fails_fast(tmp_path):
     path = tmp_path / "huge.gub"
     path.write_text("9223372036854775807 2 1\n1 1\n")
     with pytest.raises(FormatError, match="end of file"):
-        gio.read_gub(path)
+        gio.read_instance(path, "gub")
 
 
 MUTATIONS = ("truncate", "word", "decimal", "negative", "digits20", "trailing")
@@ -588,7 +607,7 @@ def test_rail_row_count_beyond_int64_buffer(tmp_path):
     path.write_text("9223372036854775807 1\n5 1 1\n")
     with pytest.raises(FormatError,
                        match="^line 1: row count 9223372036854775807 out of range$"):
-        gio.read_rail(path)
+        gio.read_instance(path, "rail")
 
 
 @pytest.mark.parametrize("window", [1, 1 << 16])
@@ -603,7 +622,7 @@ def test_rail_row_count_bounded_by_file_tokens(tmp_path, window, m):
     assert _outcome(reader_reference.check_file, path, "rail") == want
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gio, "_WINDOW", window)
-        assert _outcome(gio.read_rail, path) == want
+        assert _outcome(gio.read_instance, path, "rail") == want
 
 
 def test_parse_solution_index_beyond_int64(tmp_path):
