@@ -231,7 +231,7 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
     outer = 0
 
     def finished():
-        if time.monotonic() - t0 >= cfg.time_limit:
+        if time.monotonic() >= deadline:
             return True
         if cfg.max_iterations is not None and outer >= cfg.max_iterations:
             return True
@@ -293,7 +293,7 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
     penalized = star_val
     return RunResult(
         selected=[int(j) for j in np.flatnonzero(x_star)],
-        objective=int(inst.cost[x_star].sum()),
+        objective=model.objective(inst, x_star),
         feasible=bool(feasible),
         penalized=penalized,
         cost_sum=cost_sum,

@@ -527,8 +527,11 @@ def lowest_k(values, k):
     The order is part of the contract, because the randomized greedy draws
     by position in it: first every index whose value is strictly below the
     k-th smallest, ascending, then the ascending indices tied with it, cut
-    at k.  With k >= values.size it is simply arange(values.size).
+    at k.  With k >= values.size it is simply arange(values.size), and
+    with k <= 0 it is empty.
     """
+    if k <= 0:
+        return np.arange(0)
     if k >= values.size:
         return np.arange(values.size)
     kth = np.partition(values, k - 1)[k - 1]

@@ -140,29 +140,19 @@ def build_core(red: ReducedProblem, scores, x_star, x_hat):
     Union of, all restricted to the free columns: per row, its residual
     demand's worth of best-scored covering columns; the CORE_MULTIPLIER * n'
     best-scored columns overall (n' = free columns of x_hat); and both
-    guiding solutions.
+    guiding solutions.  Both picks are lowest_k's: ties go to the lowest
+    column index.
     """
     inst, free = red.inst, red.free
     x_star = np.asarray(x_star, dtype=bool) & free
     x_hat = np.asarray(x_hat, dtype=bool) & free
     core = np.zeros(inst.n, dtype=bool)
-    for i in range(inst.m):
-        bi = int(red.demand[i])
-        if bi <= 0:
-            continue
+    for i in np.flatnonzero(red.demand):
         cols = inst.row_cols[i]
         cols = cols[free[cols]]
-        if cols.size <= bi:
-            core[cols] = True
-        else:
-            order = np.lexsort((cols, scores[cols]))
-            core[cols[order[:bi]]] = True
+        core[cols[lowest_k(scores[cols], red.demand[i])]] = True
     pool = np.flatnonzero(free)
-    width = CORE_MULTIPLIER * int(x_hat.sum())
-    if width >= pool.size:
-        core[pool] = True
-    elif width > 0:
-        core[pool[lowest_k(scores[pool], width)]] = True
+    core[pool[lowest_k(scores[pool], CORE_MULTIPLIER * int(x_hat.sum()))]] = True
     core |= x_star
     core |= x_hat
     return core

@@ -19,7 +19,7 @@ STEP_INIT = 2.0         # first step factor
 STEP_MIN = 0.005        # the loop stops once the step factor falls below this
 HALVE_AFTER = 30        # stalled iterations before halving the step factor
 ITERS_PER_ROW = 10      # at most ITERS_PER_ROW * m iterations
-# pricing, for instances with more than max(4 * core, PRICED_ABOVE) columns
+# pricing, when n > max(4 * CORE_FACTOR * m, PRICED_ABOVE)
 CORE_FACTOR = 5         # the core keeps the CORE_FACTOR * m cheapest columns
 PRICED_ABOVE = 20000
 REFRESH = 100           # iterations between full evaluations
@@ -134,7 +134,7 @@ def subgradient_method(inst, ub) -> SubgradientResult:
     whole instance).
     """
     m = inst.m
-    pricing = inst.n > max(4 * min(inst.n, CORE_FACTOR * m), PRICED_ABOVE)
+    pricing = inst.n > max(4 * CORE_FACTOR * m, PRICED_ABOVE)
     u = np.zeros(m)
     best_u = u.copy()
     best_lb = -np.inf

@@ -236,7 +236,7 @@ def test_move_cap_bounds_accepted_moves(t1):
     assert state.x.sum() <= 1
 
 
-def test_saturated_swap_respects_budget():
+def test_saturated_swap_yields_after_one_swap():
     rng = np.random.default_rng(40)
     for _ in range(400):
         inst = random_instance(rng)
@@ -246,7 +246,7 @@ def test_saturated_swap_respects_budget():
         assert np.count_nonzero(state.x != x0) <= 2
 
 
-def test_best_tracker_keeps_minimum(t1):
+def test_two_fnls_returns_a_copy_of_its_best(t1):
     state = wbar_state(t1)
     value, x = ls.two_fnls(state)
     assert value == 8
@@ -350,3 +350,4 @@ def test_lowest_k():
     assert list(ls.lowest_k(vals, 3)) == [2, 4, 0]
     assert list(ls.lowest_k(vals, 4)) == [2, 4, 0, 1]
     assert list(ls.lowest_k(np.array([3.0, 1.0, 1.0]), 1)) == [1]
+    assert list(ls.lowest_k(np.array([3.0, 1.0, 2.0]), 0)) == []

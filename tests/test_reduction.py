@@ -1,7 +1,6 @@
 """Variable fixing, the three column scores, and core construction."""
 
 import numpy as np
-import pytest
 
 from gubcover import model, reduction
 from gubcover.model import as_bool
@@ -297,6 +296,42 @@ def test_build_core_invariants(monkeypatch):
         monkeypatch.setattr(reduction, "CORE_MULTIPLIER", 4)
         bigger = reduction.build_core(red, scores, a, b)
         assert np.all(bigger[core])
+
+
+def core_by_brute_force(red, scores, x_star, x_hat, multiplier):
+    """build_core's docstring, one column at a time, ties by column index."""
+    inst, free = red.inst, red.free
+    ranked = sorted((scores[j], j) for j in range(inst.n) if free[j])
+    picked = []
+    for i in range(inst.m):
+        covering = [j for _, j in ranked if i in inst.col_rows[j]]
+        picked += covering[:red.demand[i]]
+    picked += [j for _, j in ranked[:multiplier * int(np.count_nonzero(x_hat & free))]]
+    core = np.zeros(inst.n, dtype=bool)
+    core[np.array(picked, dtype=np.int64)] = True
+    return core | ((x_star | x_hat) & free)
+
+
+def test_build_core_matches_brute_force(monkeypatch):
+    rng = np.random.default_rng(61)
+    satisfied_rows = hat_without_free = 0
+    for trial in range(200):
+        inst = random_instance(rng, bmax=int(rng.integers(1, 4)))
+        fixed = np.flatnonzero(random_gub_feasible(rng, inst) & (rng.random(inst.n) < 0.6))
+        red = reduction.apply_fixing(inst, fixed)
+        scores = rng.integers(-3, 4, size=inst.n).astype(float)  # many ties
+        x_star = rng.random(inst.n) < 0.3
+        x_hat = rng.random(inst.n) < 0.3
+        if trial % 3 == 0:
+            x_hat &= ~red.free  # no free selected column: the overall pick is empty
+        satisfied_rows += np.count_nonzero(red.demand == 0)
+        hat_without_free += not (x_hat & red.free).any()
+        for multiplier in (0, 10):
+            monkeypatch.setattr(reduction, "CORE_MULTIPLIER", multiplier)
+            core = reduction.build_core(red, scores, x_star, x_hat)
+            assert np.array_equal(core, core_by_brute_force(red, scores, x_star, x_hat,
+                                                            multiplier))
+    assert satisfied_rows > 0 and hat_without_free > 0
 
 
 def test_restrict_t1(t1):
