@@ -19,6 +19,7 @@ import glob
 import math
 import os
 import re
+import resource
 import sys
 from pathlib import Path
 
@@ -201,10 +202,20 @@ def _family(path) -> tuple[int, str]:
     return CLASSES[letter][3], letter + stem[1:]
 
 
+def _cpu_seconds():
+    """User plus system seconds of this process and of the children it has
+    reaped: the solver's bound children, killed ones included."""
+    return sum(use.ru_utime + use.ru_stime for use in map(
+        resource.getrusage, (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+
+
 def _bench_one(task):
     """One (path, class, fmt, config) run; module-level for pickling."""
     path, cls, fmt, cfg = task
-    result = solve(_load_once(path, fmt), cfg)
+    inst = _load_once(path, fmt)
+    cpu = _cpu_seconds()
+    result = solve(inst, cfg)
+    cpu = _cpu_seconds() - cpu
     return {
         "kind": "run",
         "class": cls,
@@ -216,13 +227,14 @@ def _bench_one(task):
         "penalized": result.penalized,
         "lower_bound": f"{result.lower_bound:.4f}",
         "elapsed": f"{result.elapsed:.3f}",
+        "cpu_s": f"{cpu:.3f}",
         "time_limit": cfg.time_limit,
     }
 
 
 BENCH_FIELDS = [
     "kind", "class", "instance", "scheme", "seed", "objective", "feasible",
-    "penalized", "lower_bound", "gap_pct", "elapsed", "time_limit",
+    "penalized", "lower_bound", "gap_pct", "elapsed", "cpu_s", "time_limit",
 ]
 
 

@@ -9,14 +9,18 @@ width with the fixed columns added and, when another iteration follows,
 refresh the pools and relink its starting point.  The incumbent is always
 re-evaluated on the original instance.
 
-Only the lagrangian and normalized scores read the multipliers.  Under
-pseudo and none, when the loop will run at least once, the subgradient
-runs in a forked child while the parent searches, and its result is
-collected before the RunResult is built; the loop runs inside a `_beside`
-block, which kills and reaps a child not collected when it exits.
-Otherwise it runs inline before the loop.  Both give the same result: the
-child runs the same code on the same inputs.  Each pool scores its own
-members with the function the loop passes to ReferenceSet.update.
+The subgradient reads only the instance and the best construction value,
+and it always runs in a forked child.  Under lagrangian and normalized,
+and with no outer iteration, its result is read right after the builds:
+each strictly new best among them kills and reaps the running child and
+forks a new one, so the child started with the final value overlaps the
+builds after the best.  Otherwise it is forked once the pools are full
+and runs beside the search, which outlasts it, and is collected before
+the RunResult is built: restarts there saved nothing and cost g1-tight
+about 10% of solve_s (forks, copy-on-write faults and killed runs).
+Builds and loop run inside one `with` block, which kills and reaps a
+child not collected when it exits.  Each pool scores its own members
+with the function the loop passes to ReferenceSet.update.
 """
 
 from __future__ import annotations
@@ -132,28 +136,30 @@ def build_id() -> str:
 
 
 @contextlib.contextmanager
-def _beside(fn, *args, fork):
-    """Run fn(*args), in a forked child when fork is true; yield result().
+def _beside(fn, *args):
+    """Run fn(*args) in a forked child; yield result().
 
-    result() returns fn's result.  For a child, the first call reads the
-    child's pickled reply from a pipe to EOF, then reaps it, and later calls
-    return the same object or raise the same exception: the one raised in
-    the child, or RuntimeError with the wait status of a child that exits
+    result() returns fn's result.  The first call reads the child's pickled
+    reply from a pipe to EOF, then reaps the child, and later calls return
+    the same object or raise the same exception: the one raised in the
+    child, or RuntimeError with the wait status of a child that exits
     without a reply.  A child not reaped when the block exits, by any path,
-    is killed and reaped.  fn runs here and now when fork is false, os.fork
-    is missing or it raises OSError.
+    is killed and reaped.  When os.fork is missing, or os.pipe or os.fork
+    raises OSError, no child is made: the first result() call runs fn here,
+    and a block left before that call never runs it.
     """
     pid = None
-    if fork and hasattr(os, "fork"):
-        r, w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
+    if hasattr(os, "fork"):
+        with contextlib.suppress(OSError):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
     if pid is None:
-        done = fn(*args)
-        yield lambda: done
+        yield functools.cache(lambda: fn(*args))
         return
     if pid == 0:  # the child never returns into the caller's code
         status = 1
@@ -207,28 +213,15 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
     cost_sum = inst.cost_sum
     uniform = cfg.greedy == "uniform"
 
-    r1, r2 = ReferenceSet(), ReferenceSet()
-    empty = SearchState(inst, wbar_vec)
-    for pool in (r1, r2):
-        for _ in range(pathrelink.POOL_SIZE):
-            pool.add_initial(greedy_construct(empty, rng, uniform=uniform).x)
-    del empty  # held neither through the subgradient's peak memory nor by its child
-
     def zbar(x):
         return model.penalized_objective(inst, x, wbar_vec)
-
-    members = r1.members + r2.members  # the first least value, R1 before R2
-    values = [zbar(member) for member in members]
-    best = int(np.argmin(values))
-    star_val, x_hat = values[best], members[best].copy()
-    x_star = x_hat.copy()
-    timeline = [(0, star_val, time.monotonic() - t0)]
 
     w_cur = wbar_vec.copy()
     core_fractions: list[float] = []
     fix_exhaustions = 0
     relink_fallbacks = 0
     outer = 0
+    star_val = math.inf
 
     def finished():
         if time.monotonic() >= deadline:
@@ -239,10 +232,25 @@ def solve(inst, config: SolverConfig | None = None) -> RunResult:
             return True
         return False
 
-    # the search reads the multipliers only under the lagrangian and
-    # normalized scores; otherwise the bound is computed beside it
-    with _beside(subgradient_method, inst, star_val,
-                 fork=cfg.score in ("pseudo", "none") and not finished()) as bound:
+    r1, r2 = ReferenceSet(), ReferenceSet()
+    empty = SearchState(inst, wbar_vec)
+    # restarts overlap the builds where the bound is read right after them
+    restart = cfg.score in ("lagrangian", "normalized") or cfg.max_iterations == 0
+    with contextlib.ExitStack() as child:
+        for pool in (r1, r2):
+            for _ in range(pathrelink.POOL_SIZE):
+                x = greedy_construct(empty, rng, uniform=uniform).x
+                if pool.add_initial(x) and (v := zbar(x)) < star_val:
+                    if restart:
+                        child.close()  # kills and reaps the superseded child
+                        bound = child.enter_context(_beside(subgradient_method, inst, v))
+                    star_val, x_hat = v, pool.members[-1].copy()
+        del empty  # not held by the parent through the search
+        if not restart:
+            bound = child.enter_context(_beside(subgradient_method, inst, star_val))
+        x_star = x_hat.copy()
+        timeline = [(0, star_val, time.monotonic() - t0)]
+
         while not finished():
             outer += 1
             if cfg.score != "none":

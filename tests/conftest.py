@@ -37,6 +37,15 @@ def build_t1() -> Instance:
     )
 
 
+def live_children():
+    """Pids of this process's children, from /proc; None where /proc does
+    not list them."""
+    lists = glob.glob("/proc/self/task/*/children")
+    if not lists:
+        return None
+    return sorted({int(pid) for path in lists for pid in Path(path).read_text().split()})
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Every test reaps the processes it forks (the solver's bound child
@@ -47,12 +56,11 @@ def no_child_left():
     process's children, the check only finds that some child is left.
     """
     yield
-    lists = glob.glob("/proc/self/task/*/children")
-    if not lists:
+    pids = live_children()
+    if pids is None:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         return
-    pids = sorted({int(pid) for path in lists for pid in Path(path).read_text().split()})
     for pid in pids:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)

@@ -348,6 +348,7 @@ def test_criterion_10_determinism(tmp_path):
             rows = list(csv.DictReader(fh))
         for row in rows:
             row.pop("elapsed")
+            row.pop("cpu_s")
         outs.append(rows)
     same_bench = outs[0] == outs[1]
     _report(10, "determinism", same_run and same_bench,

@@ -9,13 +9,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gubcover import cli, model
+from gubcover import cli, driver, model, relaxation
 from gubcover import io as gio
 from gubcover.driver import SolverConfig
 
@@ -37,12 +38,14 @@ def t1_file(tmp_path):
     return str(path)
 
 
-def _rows_without_elapsed(path):
+def _rows_without_times(path):
+    """Header line and rows of a bench CSV, the two timing columns dropped."""
     with open(path) as fh:
         header = fh.readline()
         rows = list(csv.DictReader(fh))
     for row in rows:
         row.pop("elapsed")
+        row.pop("cpu_s")
     return header, rows
 
 
@@ -416,8 +419,8 @@ def test_bench_workers_agree(t1_file, tmp_path, capsys):
             "--seeds", "2", "--time-limit", "0.3"]
     assert cli.main(base + ["--workers", "1", "--out", str(one)]) == 0
     assert cli.main(base + ["--workers", "2", "--out", str(two)]) == 0
-    header1, rows1 = _rows_without_elapsed(one)
-    header2, rows2 = _rows_without_elapsed(two)
+    header1, rows1 = _rows_without_times(one)
+    header2, rows2 = _rows_without_times(two)
     assert header1.startswith("# gubcover-bench-v1 build=")
     assert header1 == header2
     assert rows1 == rows2
@@ -463,7 +466,7 @@ def test_bench_workers_fork_the_bound_and_agree(tmp_path, capsys):
     for workers in (1, 2):
         out = tmp_path / f"w{workers}.csv"
         assert cli.main(base + ["--workers", str(workers), "--out", str(out)]) == 0
-        _, got = _rows_without_elapsed(out)
+        _, got = _rows_without_times(out)
         rows[workers] = [(r["instance"], r["scheme"], r["seed"], r["objective"],
                           r["lower_bound"]) for r in got if r["kind"] == "run"]
     assert len(rows[1]) == 8 and rows[1] == rows[2]
@@ -471,6 +474,33 @@ def test_bench_workers_fork_the_bound_and_agree(tmp_path, capsys):
         os.waitpid(-1, os.WNOHANG)
     if before is not None:
         assert _group_pids() <= before
+
+
+def test_bench_cpu_seconds_count_the_bound_child(t1_file, tmp_path, capsys, monkeypatch):
+    base = ["bench", "--instances", str(tmp_path), "--schemes", "pseudo",
+            "--seeds", "1", "--time-limit", "0.3", "--workers", "1"]
+
+    def cpu_column(out):
+        with open(out) as fh:
+            fh.readline()
+            rows = list(csv.DictReader(fh))
+        assert [row["cpu_s"] for row in rows if row["kind"] == "avg"] == [""]
+        (run,) = [row for row in rows if row["kind"] == "run"]
+        return float(run["cpu_s"])
+
+    assert cli.main(base + ["--out", str(tmp_path / "a.csv")]) == 0
+    assert cpu_column(tmp_path / "a.csv") > 0
+
+    def burning(inst, ub):
+        # 0.2 s of CPU in the child that computes the bound
+        start = time.process_time()
+        while time.process_time() - start < 0.2:
+            pass
+        return relaxation.subgradient_method(inst, ub)
+
+    monkeypatch.setattr(driver, "subgradient_method", burning)
+    assert cli.main(base + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert cpu_column(tmp_path / "b.csv") >= 0.2
 
 
 def test_bench_reads_each_file_once(t1_file, tmp_path, capsys, monkeypatch):
@@ -508,7 +538,7 @@ def test_bench_time_limit_follows_the_family_letter(tmp_path, monkeypatch):
     out = tmp_path / "bench.csv"
     assert cli.main(["bench", "--instances", str(tmp_path), "--out", str(out)]) == 0
     assert [c.time_limit for c in configs] == [limits[name] for name in sorted(limits)]
-    _, rows = _rows_without_elapsed(out)
+    _, rows = _rows_without_times(out)
     runs = {row["instance"]: row for row in rows if row["kind"] == "run"}
     assert {name: float(row["time_limit"]) for name, row in runs.items()} == limits
     # the class column names the stem up to the first '_' or '.', with a
@@ -526,7 +556,7 @@ def test_bench_gap_against_best_known(t1_file, tmp_path, capsys):
                    "--time-limit", "0.3", "--best-known", str(best),
                    "--out", str(out)])
     assert rc == 0
-    _, rows = _rows_without_elapsed(out)
+    _, rows = _rows_without_times(out)
     runs = [row for row in rows if row["kind"] == "run"]
     assert runs[0]["objective"] == "8"
     # (8 - 10) / 8 * 100
@@ -545,7 +575,7 @@ def test_bench_gives_no_gap_to_an_infeasible_run(t1_file, tmp_path, capsys):
                    "--time-limit", "0.3", "--best-known", str(best),
                    "--out", str(out)])
     assert rc == 0
-    _, rows = _rows_without_elapsed(out)
+    _, rows = _rows_without_times(out)
     runs = {(row["instance"], row["seed"]): row for row in rows if row["kind"] == "run"}
     for seed in ("0", "1"):
         assert runs["t1_u.gub", seed]["feasible"] == "0"

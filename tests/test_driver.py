@@ -1,6 +1,7 @@
 """End-to-end solver runs on hand-checkable instances."""
 
 import dataclasses
+import errno
 import os
 import subprocess
 import time
@@ -11,10 +12,11 @@ import pytest
 from gubcover import driver, model, pathrelink, relaxation, weighting
 from gubcover import io as gio
 from gubcover.driver import SolverConfig
+from gubcover.localsearch import greedy_construct
 from gubcover.model import Instance, as_bool
 
 import oracle
-from conftest import random_instance, solve_checked
+from conftest import live_children, random_instance, solve_checked
 
 
 def quick(score="pseudo", **kw):
@@ -205,23 +207,82 @@ def test_stats_carry_the_subgradient_counters(t1):
     assert res.lower_bound == sres.bound
 
 
-@pytest.mark.parametrize("options,inline", [
-    ({"score": "pseudo"}, False), ({"score": "none"}, False),
-    ({"max_iterations": 0}, True), ({"target": 100}, True),
-    ({"score": "lagrangian"}, True), ({"score": "normalized"}, True)])
-def test_bound_runs_in_a_child_only_beside_a_search(t1, monkeypatch, options, inline):
-    # calls made in a child do not reach this process's list; the target
-    # is met by the greedy pools, so no outer iteration runs
-    calls = []
+def _five_new_bests():
+    # solver seed 42's 20 greedy builds reach a new best value 5 times
+    inst, _ = gio.generate(gio.GeneratorParams(rows=30, cols=120, density=0.1,
+                                               block_size=6, cap=2, seed=1))
+    return inst
 
-    def counted(inst, ub):
-        calls.append(os.getpid())
+
+@pytest.mark.parametrize("options,restarts", [
+    ({"score": "pseudo"}, False), ({"score": "none"}, False),
+    ({"max_iterations": 0}, True), ({"target": 1e6}, False),
+    ({"score": "lagrangian"}, True), ({"score": "normalized"}, True)])
+def test_bound_child_restarts_only_where_read_after_the_builds(tmp_path, monkeypatch,
+                                                               options, restarts):
+    # the target is met by the greedy pools, so no outer iteration runs,
+    # but that is known only once they are full
+    inst = _five_new_bests()
+    calls = []  # calls made in a child do not reach this process's list
+    ubs = tmp_path / "ubs"
+
+    def recorded(inst, ub):
+        calls.append(ub)
+        # one write call, so a child killed at any point leaves whole lines
+        fd = os.open(ubs, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        os.write(fd, f"{ub!r}\n".encode())
+        os.close(fd)
         return relaxation.subgradient_method(inst, ub)
 
-    monkeypatch.setattr(driver, "subgradient_method", counted)
-    res = solve_checked(t1, quick(**options))
-    assert calls == ([os.getpid()] if inline else [])
+    starts = []
+    beside = driver._beside
+
+    def started(fn, *args):
+        starts.append(args[-1])
+        return beside(fn, *args)
+
+    monkeypatch.setattr(driver, "subgradient_method", recorded)
+    monkeypatch.setattr(driver, "_beside", started)
+    res = solve_checked(inst, quick(**options))
+    assert calls == []
+    final = res.timeline[0][1]
+    if restarts:  # one start per new best, the last with the final value
+        assert len(starts) == 5 and all(a > b for a, b in zip(starts, starts[1:]))
+        assert starts[-1] == final
+    else:
+        assert starts == [final]
+    # a child superseded before it writes leaves no line
+    got = [float(line) for line in ubs.read_text().split()]
+    assert got[-1] == final and set(got) <= set(starts)
+    assert all(a > b for a, b in zip(got, got[1:]))
     assert res.stats["subgradient"]["iterations"] > 0
+
+    def slow_unless_final(inst, ub):
+        if ub != final:
+            time.sleep(60)
+        return relaxation.subgradient_method(inst, ub)
+
+    monkeypatch.setattr(driver, "subgradient_method", slow_unless_final)
+    t0 = time.monotonic()
+    again = solve_checked(inst, quick(**options))
+    assert time.monotonic() - t0 < 30  # superseded children killed, not waited for
+    assert _without_seconds(again) == _without_seconds(res)
+
+    builds = []
+
+    def third_fails(*args, **kwargs):
+        builds.append(None)
+        if len(builds) == 3:
+            raise RuntimeError("third build")
+        return greedy_construct(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "greedy_construct", third_fails)
+    with pytest.raises(RuntimeError, match="third build") as caught:
+        driver.solve(inst, quick(**options))
+    # reaped on the way out, not when the frames in caught's traceback go;
+    # the autouse no_child_left fixture checks again where /proc has no list
+    assert live_children() in ([], None)
+    del caught
 
 
 def test_child_exception_is_raised_in_solve(t1, monkeypatch):
@@ -252,15 +313,14 @@ def test_interrupted_search_kills_the_child(t1, monkeypatch):
 def test_child_reply_larger_than_a_pipe_buffer():
     big = np.arange(1 << 17, dtype=np.float64)  # 1 MB, far past 64 KB
     with driver._beside(lambda: relaxation.SubgradientResult(
-            u=big, bound=1.5, iterations=3, evaluations=1, step_final=0.25),
-            fork=True) as result:
+            u=big, bound=1.5, iterations=3, evaluations=1, step_final=0.25)) as result:
         got = result()
         assert np.array_equal(got.u, big) and got.bound == 1.5
         assert result() is got
 
 
 def test_child_without_a_reply_raises():
-    with driver._beside(os._exit, 3, fork=True) as result:
+    with driver._beside(os._exit, 3) as result:
         for _ in range(2):  # the child is reaped once; the error stays
             with pytest.raises(RuntimeError, match="wait status 768"):
                 result()
@@ -282,6 +342,26 @@ def test_solve_without_fork_gives_the_same_result(t1, monkeypatch, how):
     else:
         monkeypatch.delattr(os, "fork")
     assert _without_seconds(solve_checked(t1, quick())) == want
+
+
+def test_solve_without_a_pipe_gives_the_same_result(monkeypatch):
+    # no child without a pipe: the one subgradient run happens here, once,
+    # with the final best construction value, not at each of the 5 new bests
+    inst = _five_new_bests()
+    want = _without_seconds(solve_checked(inst, quick("lagrangian")))
+    calls = []
+
+    def counted(inst, ub):
+        calls.append(ub)
+        return relaxation.subgradient_method(inst, ub)
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(driver, "subgradient_method", counted)
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    assert _without_seconds(solve_checked(inst, quick("lagrangian"))) == want
+    assert calls == [want.timeline[0][1]]
 
 
 def test_no_relink_after_the_last_iteration(monkeypatch):
